@@ -6,6 +6,9 @@
 // count while PID-CAN's stays bounded.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+
 #include "src/core/soc.hpp"
 #include "src/obs/trace.hpp"
 
@@ -219,6 +222,75 @@ void BM_CanNextHopMix(benchmark::State& state) {
       static_cast<double>(hops) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_CanNextHopMix)->Arg(1024)->Arg(4096);
+
+// INSCAN long-link routing end to end: IndexSystem::route over a space
+// whose index tables hold one bootstrap probe round, so every hop ranks
+// its CAN neighbors and then its live fingers — the scan HID-CAN pays on
+// every state update and query.  Maintenance periods are pushed past the
+// run so only route hops execute while timing.
+void BM_InscanRouteHop(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::Simulator sim(31);
+  net::Topology topo(net::TopologyConfig{}, Rng(32));
+  net::MessageBus bus(sim, topo);
+  can::CanSpace space(5, Rng(33));
+  index::InscanConfig cfg;
+  cfg.state_update_period = seconds(1e7);
+  cfg.diffusion_period = seconds(1e7);
+  cfg.index_refresh_period = seconds(1e7);
+  cfg.index_entry_ttl = seconds(1e8);
+  index::IndexSystem idx(sim, bus, space, cfg, Rng(34));
+  idx.attach_to_space();
+  std::vector<NodeId> ids;
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId id = topo.add_host();
+    space.join(id);
+    ids.push_back(id);
+  }
+  for (const NodeId id : ids) idx.add_node(id);
+  sim.run_until(seconds(600));  // the bootstrap probe round completes
+  std::size_t fingers = 0;
+  for (const NodeId id : ids) {
+    idx.table(id).for_each_live(sim.now(),
+                                [&](const index::IndexTable::Entry&) {
+                                  ++fingers;
+                                });
+  }
+  Rng rng(35);
+  std::vector<std::pair<NodeId, can::Point>> routes;
+  for (int i = 0; i < 512; ++i) {
+    can::Point target(5);
+    for (std::size_t d = 0; d < 5; ++d) target[d] = rng.uniform();
+    routes.emplace_back(ids[rng.pick_index(ids.size())], target);
+  }
+  std::size_t i = 0;
+  std::uint64_t hops = 0;
+  double ns = 0.0;
+  for (auto _ : state) {
+    const auto& [from, target] = routes[i++ & 511];
+    const std::uint64_t before = bus.stats().sent(net::MsgType::kDutyQuery);
+    bool arrived = false;
+    const auto t0 = std::chrono::steady_clock::now();
+    idx.route(from, target, net::MsgType::kDutyQuery, 64,
+              [&](NodeId) { arrived = true; });
+    const SimTime deadline = sim.now() + seconds(600);
+    while (!arrived && sim.step(deadline)) {
+    }
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - t0)
+              .count();
+    hops += bus.stats().sent(net::MsgType::kDutyQuery) - before;
+    benchmark::DoNotOptimize(arrived);
+  }
+  state.counters["ns_per_hop"] =
+      benchmark::Counter(ns / static_cast<double>(std::max<std::uint64_t>(hops, 1)));
+  // Live fingers per table: what each hop's finger scan walks.
+  state.counters["fingers_per_hop"] = benchmark::Counter(
+      static_cast<double>(fingers) / static_cast<double>(n));
+  state.counters["hops_per_route"] = benchmark::Counter(
+      static_cast<double>(hops) / static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_InscanRouteHop)->Arg(2000)->Arg(20000);
 
 // Directional neighbor filtering through the cached per-neighbor adjacency
 // metadata, into a reused scratch buffer — the inner loop of probe walks,

@@ -21,20 +21,20 @@ struct RouteState {
 
 void step(const std::shared_ptr<RouteState>& st, NodeId at, std::size_t ttl) {
   CanSpace& space = *st->space;
-  if (!space.contains(at)) return;
-  if (space.zone_of(at).contains(st->target)) {
-    st->on_arrive(at);
-    return;
-  }
-  if (ttl == 0) return;
-
-  // Rank by (containment, box distance, center distance); the strictly
+  const ZoneRow here = space.row_of(at);
+  if (!here) return;
+  // Rank by (containment, box distance, center distance, id); the strictly
   // decreasing key avoids cycles and resolves corner/boundary plateaus —
   // see CanSpace::next_hop for the rationale.  The scan prunes candidates
   // via the cached abutting-dimension metadata.
   NodeId best;
-  double best_d = space.zone_of(at).distance_sq(st->target);
-  double best_c = point_distance_sq(space.center_of(at), st->target);
+  double best_d = 0.0;
+  double best_c = 0.0;
+  if (seed_toward(here, st->target, best_d, best_c)) {
+    st->on_arrive(at);
+    return;
+  }
+  if (ttl == 0) return;
   space.scan_neighbors_toward(at, st->target, best, best_d, best_c);
   if (!best.valid()) return;  // stalled (transient churn state)
   st->bus->send(at, best, st->type, st->bytes,

@@ -1,6 +1,8 @@
 #include "src/can/space.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 namespace soc::can {
 
@@ -18,6 +20,31 @@ const CanSpace::Member& CanSpace::member(NodeId id) const {
   const Member* m = members_.find(id);
   SOC_CHECK_MSG(m != nullptr, "unknown member");
   return *m;
+}
+
+std::uint32_t CanSpace::alloc_row() {
+  if (!free_rows_.empty()) {
+    const std::uint32_t row = free_rows_.back();
+    free_rows_.pop_back();
+    return row;
+  }
+  const std::size_t stride = ZoneRow::stride(dims_);
+  const auto row = static_cast<std::uint32_t>(rows_.size() / stride);
+  rows_.resize(rows_.size() + stride);
+  return row;
+}
+
+void CanSpace::free_row(std::uint32_t row) {
+  // Poisoned, so a departed member's stale row can never pass for a zone.
+  const std::size_t stride = ZoneRow::stride(dims_);
+  std::fill_n(rows_.begin() + static_cast<std::ptrdiff_t>(row * stride),
+              stride, std::numeric_limits<double>::quiet_NaN());
+  free_rows_.push_back(row);
+}
+
+void CanSpace::sync_row(NodeId id) {
+  ZoneRow::pack(tree_->zone_of(id),
+                rows_.data() + member(id).row * ZoneRow::stride(dims_));
 }
 
 void CanSpace::upsert_link(Member& m, NodeId id, std::uint8_t dim,
@@ -45,13 +72,15 @@ void CanSpace::erase_link(Member& m, NodeId id) {
 void CanSpace::refresh_against(NodeId id,
                                const std::vector<NodeId>& candidates) {
   Member& m = member(id);
+  const Zone& zone = tree_->zone_of(id);
   for (const NodeId c : candidates) {
     if (c == id || !members_.contains(c)) continue;
     Member& other = member(c);
-    const auto adim = m.zone.adjacency_dim(other.zone);
+    const Zone& other_zone = tree_->zone_of(c);
+    const auto adim = zone.adjacency_dim(other_zone);
     if (adim.has_value()) {
       const auto dim = static_cast<std::uint8_t>(*adim);
-      const bool positive = m.zone.positive_side(other.zone, *adim);
+      const bool positive = zone.positive_side(other_zone, *adim);
       upsert_link(m, c, dim, positive);
       upsert_link(other, id, dim, !positive);
     } else {
@@ -82,8 +111,8 @@ Point CanSpace::join(NodeId id, std::optional<Point> point_hint) {
 
   if (!tree_.has_value()) {
     tree_.emplace(dims_, id);
-    const Zone unit = Zone::unit(dims_);
-    members_.emplace(id, Member{unit, unit.center(), {}, {}});
+    members_.emplace(id, Member{alloc_row(), {}, {}});
+    sync_row(id);
     notify_topology(id);
     return p;
   }
@@ -98,9 +127,9 @@ Point CanSpace::join(NodeId id, std::optional<Point> point_hint) {
 
   // Insert the joiner before touching the owner again: DenseNodeMap growth
   // invalidates outstanding references.
-  const Zone joiner_zone = tree_->zone_of(id);
-  members_.emplace(id, Member{joiner_zone, joiner_zone.center(), {}, {}});
-  set_zone(member(owner), tree_->zone_of(owner));
+  members_.emplace(id, Member{alloc_row(), {}, {}});
+  sync_row(id);
+  sync_row(owner);
 
   refresh_against(owner, candidates);
   candidates.push_back(id);  // not used against itself; harmless
@@ -119,6 +148,8 @@ void CanSpace::leave(NodeId id) {
   if (members_.size() == 1) {
     members_.clear();
     tree_.reset();
+    rows_.clear();
+    free_rows_.clear();
     return;
   }
 
@@ -147,13 +178,12 @@ void CanSpace::leave(NodeId id) {
   if (listener_.on_rehome) listener_.on_rehome(id, heir);
 
   drop_from_all_neighbors(id);
+  free_row(member(id).row);
   members_.erase(id);
 
   // Apply new zones, then refresh adjacency for all affected nodes against
   // the combined candidate pool.
-  for (const NodeId a : affected) {
-    set_zone(member(a), tree_->zone_of(a));
-  }
+  for (const NodeId a : affected) sync_row(a);
   // The candidate pool (old neighborhoods of the departed node and of every
   // affected node) covers all adjacency pairs that can appear or disappear:
   // zone growth never loses neighbors, and the relocated node's new
@@ -178,9 +208,12 @@ void CanSpace::leave(NodeId id) {
   members_.maybe_compact();
 }
 
-const Zone& CanSpace::zone_of(NodeId id) const { return member(id).zone; }
+Zone CanSpace::zone_of(NodeId id) const { return zone_row(member(id)).zone(); }
 
-const Point& CanSpace::center_of(NodeId id) const { return member(id).center; }
+ZoneRow CanSpace::row_of(NodeId id) const {
+  const Member* m = members_.find(id);
+  return m == nullptr ? ZoneRow() : zone_row(*m);
+}
 
 NodeId CanSpace::owner_of(const Point& p) const {
   SOC_CHECK(tree_.has_value());
@@ -217,48 +250,26 @@ bool CanSpace::scan_neighbors_toward(NodeId from, const Point& target,
                                      NodeId& best, double& best_d,
                                      double& best_c) const {
   const Member& m = member(from);
+  const ZoneRow here = zone_row(m);
   for (const NeighborLink& l : m.links) {
     // Exact prune: the neighbor's zone starts at our boundary along its
     // abutting dimension, so that axis alone contributes at least gap² to
-    // its box distance (an fp lower bound: distance_sq sums the identical
-    // subtraction's square with non-negative terms).  Strict > keeps
-    // plateau ties — resolved by center distance then id — intact, and a
-    // containing neighbor always has gap <= 0, so it is never pruned.
-    const double gap = l.positive ? m.zone.hi(l.dim) - target[l.dim]
-                                  : target[l.dim] - m.zone.lo(l.dim);
+    // its box distance (an fp lower bound: the box distance sums the
+    // identical subtraction's square with non-negative terms).  Strict >
+    // keeps plateau ties — resolved by center distance then id — intact,
+    // and a containing neighbor always has gap <= 0, so it is never pruned.
+    const double gap = l.positive ? here.hi(l.dim) - target[l.dim]
+                                  : target[l.dim] - here.lo(l.dim);
     if (gap > 0.0 && gap * gap > best_d) continue;
-    if (consider_candidate_toward(l.id, target, best, best_d, best_c)) {
+    if (rank_toward(zone_row(member(l.id)), l.id, target, best, best_d,
+                    best_c)) {
       return true;
     }
   }
   return false;
 }
 
-bool CanSpace::consider_candidate_toward(NodeId cand, const Point& target,
-                                         NodeId& best, double& best_d,
-                                         double& best_c) const {
-  const Member& cm = member(cand);
-  const Zone& z = cm.zone;
-  if (z.contains(target)) {
-    best = cand;
-    best_d = -1.0;
-    best_c = -1.0;
-    return true;
-  }
-  const double d = z.distance_sq(target);
-  const double c = point_distance_sq(cm.center, target);
-  if (d < best_d || (d == best_d && c < best_c) ||
-      (d == best_d && c == best_c && best.valid() && cand < best)) {
-    best = cand;
-    best_d = d;
-    best_c = c;
-  }
-  return false;
-}
-
 NodeId CanSpace::next_hop(NodeId from, const Point& target) const {
-  const Member& m = member(from);
-  if (m.zone.contains(target)) return from;
   // Candidates are ranked by (containment, box distance, center distance):
   // a zone owning the target wins outright; otherwise strictly smaller box
   // distance wins; center distance breaks plateaus — in particular targets
@@ -266,8 +277,11 @@ NodeId CanSpace::next_hop(NodeId from, const Point& target) const {
   // distance 0 and the owner may not be adjacent to the current node.
   // The key strictly decreases every hop, so routing cannot cycle.
   NodeId best;  // invalid until a neighbor strictly improves on our zone
-  double best_d = m.zone.distance_sq(target);
-  double best_c = point_distance_sq(m.center, target);
+  double best_d = 0.0;
+  double best_c = 0.0;
+  if (seed_toward(zone_row(member(from)), target, best_d, best_c)) {
+    return from;
+  }
   scan_neighbors_toward(from, target, best, best_d, best_c);
   SOC_CHECK_MSG(best.valid(), "greedy routing stalled");
   return best;
@@ -276,7 +290,7 @@ NodeId CanSpace::next_hop(NodeId from, const Point& target) const {
 std::vector<NodeId> CanSpace::route(NodeId from, const Point& target) const {
   std::vector<NodeId> path;
   NodeId cur = from;
-  while (!member(cur).zone.contains(target)) {
+  while (!zone_row(member(cur)).contains(target)) {
     cur = next_hop(cur, target);
     path.push_back(cur);
     SOC_CHECK_MSG(path.size() <= members_.size(), "routing loop");
@@ -300,22 +314,51 @@ NodeId CanSpace::random_member(Rng& rng) const {
 
 double CanSpace::total_volume() const {
   double sum = 0.0;
-  for (const auto& [id, m] : members_) sum += m.zone.volume();
+  for (const auto& [id, m] : members_) sum += zone_row(m).zone().volume();
   return sum;
 }
 
 bool CanSpace::verify_adjacency_cache() const {
+  // Every member owns exactly one row, holding its partition-tree zone;
+  // every other row is on the free list and poisoned.
+  const std::size_t stride = ZoneRow::stride(dims_);
+  if (rows_.size() % stride != 0) return false;
+  std::vector<bool> claimed(rows_.size() / stride, false);
+  const auto claim = [&](std::uint32_t row) {
+    if (row >= claimed.size() || claimed[row]) return false;
+    claimed[row] = true;
+    return true;
+  };
   for (const auto& [id, m] : members_) {
-    if (!(m.center == m.zone.center())) return false;
+    if (!claim(m.row) || !tree_->contains_owner(id)) return false;
+    const ZoneRow r = zone_row(m);
+    const Zone& z = tree_->zone_of(id);
+    for (std::size_t i = 0; i < dims_; ++i) {
+      if (r.lo(i) != z.lo(i) || r.hi(i) != z.hi(i) ||
+          r.center(i) != 0.5 * (z.lo(i) + z.hi(i))) {
+        return false;
+      }
+    }
+  }
+  for (const std::uint32_t row : free_rows_) {
+    if (!claim(row) || !std::isnan(rows_[row * stride])) return false;
+  }
+  if (std::find(claimed.begin(), claimed.end(), false) != claimed.end()) {
+    return false;
+  }
+
+  for (const auto& [id, m] : members_) {
     if (m.links.size() != m.neighbors.size()) return false;
+    const Zone zone = zone_row(m).zone();
     for (std::size_t i = 0; i < m.links.size(); ++i) {
       const NeighborLink& l = m.links[i];
       if (l.id != m.neighbors[i]) return false;
       const Member* other = members_.find(l.id);
       if (other == nullptr) return false;
-      const auto adim = m.zone.adjacency_dim(other->zone);
+      const Zone other_zone = zone_row(*other).zone();
+      const auto adim = zone.adjacency_dim(other_zone);
       if (!adim.has_value() || *adim != l.dim) return false;
-      if (m.zone.positive_side(other->zone, *adim) != l.positive) return false;
+      if (zone.positive_side(other_zone, *adim) != l.positive) return false;
     }
   }
   return true;
@@ -326,21 +369,20 @@ bool CanSpace::verify_invariants() const {
   if (!tree_->tiles_unit_cube()) return false;
   if (!verify_adjacency_cache()) return false;
   const auto ids = member_ids();
-  for (const NodeId a : ids) {
-    if (member(a).zone == tree_->zone_of(a)) continue;
-    return false;
-  }
+  std::vector<Zone> zones;
+  zones.reserve(ids.size());
+  for (const NodeId a : ids) zones.push_back(zone_of(a));
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const Member& mi = member(ids[i]);
     for (std::size_t j = i + 1; j < ids.size(); ++j) {
       const Member& mj = member(ids[j]);
-      const bool adjacent = mi.zone.adjacency_dim(mj.zone).has_value();
+      const bool adjacent = zones[i].adjacency_dim(zones[j]).has_value();
       const bool listed_ij = std::binary_search(mi.neighbors.begin(),
                                                 mi.neighbors.end(), ids[j]);
       const bool listed_ji = std::binary_search(mj.neighbors.begin(),
                                                 mj.neighbors.end(), ids[i]);
       if (adjacent != listed_ij || adjacent != listed_ji) return false;
-      if (mi.zone.overlaps(mj.zone)) return false;
+      if (zones[i].overlaps(zones[j])) return false;
     }
   }
   return true;

@@ -15,16 +15,24 @@
 // cached side to prune candidates with a one-multiply lower bound before
 // paying for the full box/center distance, and directional filtering is a
 // flag test per neighbor instead of a d-dimensional zone comparison.
+//
+// Zones live apart from the member records: one packed row per member
+// (lo, hi and center at dims() stride; see zone_row.hpp) in a single
+// contiguous array, which is what routing ranks candidates from.  A row is
+// written only from the partition tree's zone; rows of departed members
+// are poisoned and recycled.  verify_adjacency_cache() checks both.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
 
 #include "src/can/geometry.hpp"
 #include "src/can/partition_tree.hpp"
+#include "src/can/zone_row.hpp"
 #include "src/common/dense_node_map.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/types.hpp"
@@ -77,13 +85,14 @@ class CanSpace {
   /// Node departs; its zone is merged/reassigned per the partition tree.
   void leave(NodeId id);
 
-  [[nodiscard]] const Zone& zone_of(NodeId id) const;
+  /// `id`'s zone, built from its packed row.
+  [[nodiscard]] Zone zone_of(NodeId id) const;
 
-  /// Cached center of `id`'s zone (== zone_of(id).center(), maintained on
-  /// every zone assignment).  Routing's plateau tie-break scores candidates
-  /// by center distance; the cache saves recomputing the center per
-  /// candidate per hop.
-  [[nodiscard]] const Point& center_of(NodeId id) const;
+  /// `id`'s packed zone row, or a null row when `id` is not a member: one
+  /// lookup answers both "is it still here?" and "where is it?", which is
+  /// all a routing hop needs of a candidate.  Valid until the next join or
+  /// leave.
+  [[nodiscard]] ZoneRow row_of(NodeId id) const;
 
   [[nodiscard]] NodeId owner_of(const Point& p) const;
 
@@ -106,12 +115,9 @@ class CanSpace {
       NodeId id, std::size_t dim, Direction dir) const;
 
   /// Greedy candidate scan over `from`'s neighbors toward `target`,
-  /// updating (best, best_d, best_c) under the (containment, box distance,
-  /// center distance, id) ranking shared by every routing layer.  `best`
-  /// starts invalid (or at a sentinel the id tie-break must not fire for);
-  /// `best_d`/`best_c` carry the incumbent's distances.  Returns true when
-  /// a neighbor zone contains the target (best set, distances forced to
-  /// -1 so no later candidate can displace it).
+  /// ranking each with rank_toward() (zone_row.hpp) against the incumbent
+  /// (best, best_d, best_c) — seed it with seed_toward() at `from`.
+  /// Returns true when a neighbor zone contains the target.
   ///
   /// Neighbors are pruned with an exact lower bound first: a neighbor's
   /// zone starts at our boundary along its cached abutting dimension, so
@@ -119,14 +125,6 @@ class CanSpace {
   /// means it cannot win under the exact same tie-break chain.
   bool scan_neighbors_toward(NodeId from, const Point& target, NodeId& best,
                              double& best_d, double& best_c) const;
-
-  /// Evaluate one arbitrary member candidate (e.g. an INSCAN long-link
-  /// finger) under the exact same ranking scan_neighbors_toward applies to
-  /// neighbors — the single definition of the tie-break chain.  Returns
-  /// true when the candidate's zone contains the target.
-  bool consider_candidate_toward(NodeId cand, const Point& target,
-                                 NodeId& best, double& best_d,
-                                 double& best_c) const;
 
   /// Greedy CAN routing step: the neighbor whose zone is closest to the
   /// target (self if the local zone already contains it).  Deterministic
@@ -150,17 +148,22 @@ class CanSpace {
 
   /// Test oracle: zones tile the cube, neighbor sets are exactly the
   /// adjacency relation and symmetric, and the cached per-neighbor
-  /// adjacency metadata matches a from-scratch recomputation.
+  /// adjacency metadata and packed rows match a from-scratch recomputation.
   [[nodiscard]] bool verify_invariants() const;
 
-  /// The metadata check alone (cheaper; used by the churn stress test).
+  /// The cache checks alone (cheaper; used by the churn stress test): the
+  /// neighbor metadata matches the zones, every member's packed row is its
+  /// partition-tree zone with center 0.5 * (lo + hi), and every other row
+  /// is free and poisoned, so no departed id holds a live row.
   [[nodiscard]] bool verify_adjacency_cache() const;
 
-  /// Bytes claimed by overlay membership state: the dense member map,
-  /// every member's neighbor/link arrays, and the partition tree
-  /// (attribution-profiler hook; O(members), report-time only).
+  /// Bytes claimed by overlay membership state: the dense member map, the
+  /// packed zone rows, every member's neighbor/link arrays, and the
+  /// partition tree (attribution-profiler hook; O(members), report-time
+  /// only).
   [[nodiscard]] std::size_t mem_bytes() const {
-    std::size_t b = members_.mem_bytes();
+    std::size_t b = members_.mem_bytes() + rows_.capacity() * sizeof(double) +
+                    free_rows_.capacity() * sizeof(std::uint32_t);
     for (const auto& [id, m] : members_) {
       (void)id;
       b += m.neighbors.capacity() * sizeof(NodeId) +
@@ -177,8 +180,7 @@ class CanSpace {
   /// per-call materialization.  Only upsert_link/erase_link may mutate
   /// them, and verify_adjacency_cache() checks the lock-step invariant.
   struct Member {
-    Zone zone;
-    Point center;                     // cached zone.center()
+    std::uint32_t row = 0;            // index of the packed zone row
     std::vector<NodeId> neighbors;    // sorted by id
     std::vector<NeighborLink> links;  // parallel to `neighbors`
   };
@@ -186,12 +188,14 @@ class CanSpace {
   Member& member(NodeId id);
   [[nodiscard]] const Member& member(NodeId id) const;
 
-  /// The only way a member's zone may change: keeps the cached center in
-  /// lock-step (verified by verify_invariants).
-  static void set_zone(Member& m, const Zone& zone) {
-    m.zone = zone;
-    m.center = zone.center();
+  [[nodiscard]] ZoneRow zone_row(const Member& m) const {
+    return {rows_.data() + m.row * ZoneRow::stride(dims_), dims_};
   }
+  std::uint32_t alloc_row();
+  void free_row(std::uint32_t row);
+  /// Copy `id`'s partition-tree zone into its packed row — the only way a
+  /// row is written, so rows cannot drift from the tree.
+  void sync_row(NodeId id);
 
   /// Recompute adjacency between `id` and every candidate, updating both
   /// sides' sorted neighbor lists and cached metadata.
@@ -206,6 +210,8 @@ class CanSpace {
   Rng rng_;
   std::optional<PartitionTree> tree_;
   DenseNodeMap<Member> members_;
+  std::vector<double> rows_;              // ZoneRow::stride(dims_) per row
+  std::vector<std::uint32_t> free_rows_;  // recycled rows, poisoned (NaN)
   Listener listener_;
 };
 

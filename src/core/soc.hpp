@@ -21,7 +21,6 @@
 #include "src/gossip/newscast.hpp"     // Newscast baseline
 #include "src/index/inscan.hpp"        // INSCAN + index diffusion
 #include "src/khdn/khdn.hpp"           // KHDN-CAN baseline
-#include "src/metrics/csv.hpp"
 #include "src/metrics/task_metrics.hpp"
 #include "src/net/message_bus.hpp"
 #include "src/net/topology.hpp"

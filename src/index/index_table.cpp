@@ -2,64 +2,85 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
+#include <utility>
 
 namespace soc::index {
 
 IndexTable::IndexTable(std::size_t dims, std::size_t samples_per_level,
                        SimTime entry_ttl)
-    : dims_(dims), samples_per_level_(samples_per_level), ttl_(entry_ttl),
-      tracks_(dims * 2) {
-  SOC_CHECK(dims > 0);
+    : dims_(dims), samples_per_level_(samples_per_level), ttl_(entry_ttl) {
+  SOC_CHECK(dims > 0 && dims <= can::kMaxDims);
   SOC_CHECK(samples_per_level > 0);
 }
 
-std::size_t IndexTable::track_index(std::size_t dim,
-                                    can::Direction dir) const {
-  SOC_CHECK(dim < dims_);
-  return dim * 2 + (dir == can::Direction::kPositive ? 1 : 0);
+IndexTable::IndexTable(IndexTable&& o) noexcept
+    : dims_(o.dims_),
+      samples_per_level_(o.samples_per_level_),
+      ttl_(o.ttl_),
+      entries_(std::move(o.entries_)),
+      begin_(o.begin_) {
+  o.clear_all();
+}
+
+IndexTable& IndexTable::operator=(IndexTable&& o) noexcept {
+  dims_ = o.dims_;
+  samples_per_level_ = o.samples_per_level_;
+  ttl_ = o.ttl_;
+  entries_ = std::move(o.entries_);
+  begin_ = o.begin_;
+  o.clear_all();
+  return *this;
 }
 
 void IndexTable::store(std::size_t dim, can::Direction dir, std::size_t level,
                        NodeId id, SimTime now) {
   SOC_CHECK(level < 64);  // pick() tracks the level set in a 64-bit mask
-  auto& track = tracks_[track_index(dim, dir)];
+  const std::size_t t = track_index(dim, dir);
+  const auto first = entries_.begin() + begin_[t];
+  const auto last = entries_.begin() + begin_[t + 1];
   // Refresh an existing identical entry in place.
-  for (auto& e : track) {
-    if (e.id == id && e.level == level) {
-      e.refreshed_at = now;
+  for (auto it = first; it != last; ++it) {
+    if (it->id == id && it->level == level) {
+      it->refreshed_at = now;
       return;
     }
   }
   // Enforce the per-level sample cap by evicting the stalest same-level
   // entry when full.
   std::size_t level_count = 0;
-  auto stalest = track.end();
-  for (auto it = track.begin(); it != track.end(); ++it) {
+  auto stalest = last;
+  for (auto it = first; it != last; ++it) {
     if (it->level != level) continue;
     ++level_count;
-    if (stalest == track.end() || it->refreshed_at < stalest->refreshed_at) {
+    if (stalest == last || it->refreshed_at < stalest->refreshed_at) {
       stalest = it;
     }
   }
-  if (level_count >= samples_per_level_ && stalest != track.end()) {
-    track.erase(stalest);
+  const Entry fresh{id, static_cast<std::uint32_t>(level), now};
+  if (level_count >= samples_per_level_ && stalest != last) {
+    // Erase, then append to the track: shift its tail left by one.  No
+    // other track moves.
+    std::move(stalest + 1, last, stalest);
+    *(last - 1) = fresh;
+    return;
   }
-  track.push_back(Entry{id, level, now});
+  SOC_CHECK(entries_.size() < std::numeric_limits<std::uint16_t>::max());
+  entries_.insert(last, fresh);
+  for (std::size_t u = t + 1; u <= 2 * dims_; ++u) ++begin_[u];
 }
 
 void IndexTable::clear_track(std::size_t dim, can::Direction dir) {
-  tracks_[track_index(dim, dir)].clear();
+  const std::size_t t = track_index(dim, dir);
+  const auto n = static_cast<std::uint16_t>(begin_[t + 1] - begin_[t]);
+  entries_.erase(entries_.begin() + begin_[t],
+                 entries_.begin() + begin_[t + 1]);
+  for (std::size_t u = t + 1; u <= 2 * dims_; ++u) begin_[u] -= n;
 }
 
 void IndexTable::clear_all() {
-  for (auto& t : tracks_) t.clear();
-}
-
-std::vector<IndexTable::Entry> IndexTable::live_entries(
-    std::size_t dim, can::Direction dir, SimTime now) const {
-  std::vector<Entry> out;
-  for_each_live(dim, dir, now, [&](const Entry& e) { out.push_back(e); });
-  return out;
+  entries_.clear();
+  begin_.fill(0);
 }
 
 std::optional<NodeId> IndexTable::pick(std::size_t dim, can::Direction dir,
@@ -118,12 +139,6 @@ std::optional<NodeId> IndexTable::pick(std::size_t dim, can::Direction dir,
                       [](const Entry&) { return true; });
   }
   return std::nullopt;
-}
-
-std::size_t IndexTable::total_entries() const {
-  std::size_t n = 0;
-  for (const auto& t : tracks_) n += t.size();
-  return n;
 }
 
 }  // namespace soc::index

@@ -202,8 +202,18 @@ void IndexSystem::route(NodeId from, const can::Point& target,
 void IndexSystem::route_step(NodeId at, std::size_t ttl,
                              const std::shared_ptr<RouteCtx>& ctx) {
   const can::Point& target = ctx->target;
-  if (!space_.contains(at)) return;  // current hop churned out: message lost
-  if (space_.zone_of(at).contains(target)) {
+  const can::ZoneRow here = space_.row_of(at);
+  if (!here) return;  // current hop churned out: message lost
+  // Greedy choice over adjacent neighbors plus (optionally) index fingers,
+  // ranked by (containment, box distance, center distance, id) — the
+  // strictly decreasing key avoids cycles and resolves corner/boundary
+  // plateaus (see CanSpace::next_hop).  The neighbor scan prunes via the
+  // cached abutting-dimension metadata; a containing candidate ends the
+  // scan (nothing can displace a zone that owns the target).
+  NodeId best;
+  double best_d = 0.0;
+  double best_c = 0.0;
+  if (can::seed_toward(here, target, best_d, best_c)) {
     ctx->on_arrive(at);
     return;
   }
@@ -211,31 +221,17 @@ void IndexSystem::route_step(NodeId at, std::size_t ttl,
     SOC_LOG(kDebug) << "route TTL exhausted at node " << at.value;
     return;
   }
-
-  // Greedy choice over adjacent neighbors plus (optionally) index fingers,
-  // ranked by (containment, box distance, center distance) — the strictly
-  // decreasing key avoids cycles and resolves corner/boundary plateaus
-  // (see CanSpace::next_hop).  The neighbor scan prunes via the cached
-  // abutting-dimension metadata; a containing neighbor short-circuits the
-  // finger scan (no finger can displace a zone that owns the target).
-  NodeId best;
-  double best_d = space_.zone_of(at).distance_sq(target);
-  double best_c = can::point_distance_sq(space_.center_of(at), target);
-  const bool contained =
+  bool contained =
       space_.scan_neighbors_toward(at, target, best, best_d, best_c);
-  if (!contained && config_.long_link_routing && state_.contains(at)) {
-    auto consider = [&](NodeId cand) {
-      if (cand == at || !space_.contains(cand)) return;
-      space_.consider_candidate_toward(cand, target, best, best_d, best_c);
-    };
-    const IndexTable& tbl = state(at).table;
-    for (std::size_t d = 0; d < space_.dims(); ++d) {
-      for (const can::Direction dir :
-           {can::Direction::kNegative, can::Direction::kPositive}) {
-        tbl.for_each_live(d, dir, sim_.now(),
-                          [&](const IndexTable::Entry& e) { consider(e.id); });
+  const NodeState* st = config_.long_link_routing ? state_.find(at) : nullptr;
+  if (!contained && st != nullptr) {
+    // One lookup per finger: row_of() is null for a finger that has left.
+    st->table.for_each_live(sim_.now(), [&](const IndexTable::Entry& e) {
+      if (contained || e.id == at) return;
+      if (const can::ZoneRow row = space_.row_of(e.id)) {
+        contained = can::rank_toward(row, e.id, target, best, best_d, best_c);
       }
-    }
+    });
   }
   if (!best.valid()) {
     SOC_LOG(kDebug) << "route stalled at node " << at.value;

@@ -178,10 +178,11 @@ TEST(IndexTable, PerLevelSampleCapEvictsStalest) {
   tbl.store(0, can::Direction::kNegative, 0, NodeId(1), seconds(1));
   tbl.store(0, can::Direction::kNegative, 0, NodeId(2), seconds(2));
   tbl.store(0, can::Direction::kNegative, 0, NodeId(3), seconds(3));
-  const auto live =
-      tbl.live_entries(0, can::Direction::kNegative, seconds(4));
-  ASSERT_EQ(live.size(), 2u);
-  for (const auto& e : live) EXPECT_NE(e.id, NodeId(1));  // stalest evicted
+  std::vector<NodeId> live;
+  tbl.for_each_live(0, can::Direction::kNegative, seconds(4),
+                    [&](const IndexTable::Entry& e) { live.push_back(e.id); });
+  // The stalest entry is evicted and the newcomer appended.
+  EXPECT_EQ(live, (std::vector<NodeId>{NodeId(2), NodeId(3)}));
 }
 
 TEST(IndexTable, RefreshInPlaceDoesNotDuplicate) {
@@ -189,8 +190,9 @@ TEST(IndexTable, RefreshInPlaceDoesNotDuplicate) {
   tbl.store(0, can::Direction::kNegative, 1, NodeId(5), seconds(1));
   tbl.store(0, can::Direction::kNegative, 1, NodeId(5), seconds(50));
   EXPECT_EQ(tbl.total_entries(), 1u);
-  const auto live =
-      tbl.live_entries(0, can::Direction::kNegative, seconds(51));
+  std::vector<IndexTable::Entry> live;
+  tbl.for_each_live(0, can::Direction::kNegative, seconds(51),
+                    [&](const IndexTable::Entry& e) { live.push_back(e); });
   ASSERT_EQ(live.size(), 1u);
   EXPECT_EQ(live[0].refreshed_at, seconds(50));
 }
