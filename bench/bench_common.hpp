@@ -9,12 +9,14 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "src/common/json_mini.hpp"
+#include "src/common/json.hpp"
 #include "src/core/soc.hpp"
 #include "src/obs/profiler.hpp"
 #include "src/obs/registry.hpp"
@@ -72,6 +74,8 @@ struct BenchOptions {
 //         "events": 1000, "events_per_sec": 813.0,
 //         "messages": 500, "messages_per_sec": 406.5,
 //         "t_ratio": 0.9, "f_ratio": 0.05, "msgs_per_node": 120.0,
+//         "messages_partitioned": 0,
+//         "stale_dead_provider": 0, "stale_misplaced": 0,
 //         "slot_span_ratio": 1.0,   // per-node map density (≥ 1.0)
 //         "latency": {              // per-query tail latency (seconds)
 //           "first_result": { "n": 100, "mean_s": 1.0, "p50_s": 0.8,
@@ -79,31 +83,21 @@ struct BenchOptions {
 //           "finish": { ... } },
 //         "traffic": [
 //           { "type": "state-update", "sent": 10, "delivered": 9,
-//             "lost": 1 } ] }
+//             "lost": 1, "partitioned": 0 } ],
+//         "metrics": [ { "k": "bus.state-update.sent", "v": 10 } ] }
 //     ]
 //   }
 //
-// bench_compare diffs two such files and exits non-zero on regressions
-// beyond a threshold (see bench/bench_compare.cpp).
+// Written through the src/common/json codec (doubles in shortest
+// round-trip form).  bench_compare diffs two such files and exits
+// non-zero on regressions beyond a threshold (see
+// bench/bench_compare.cpp).
 // ---------------------------------------------------------------------------
 
 /// One timed experiment run for the JSON report.
 struct PerfSample {
-  std::string name;
   double wall_seconds = 0.0;
-  std::uint64_t events = 0;
-  std::uint64_t messages = 0;
-  double t_ratio = 0.0;
-  double f_ratio = 0.0;
-  double msgs_per_node = 0.0;
-  std::uint64_t messages_partitioned = 0;
-  std::uint64_t stale_dead_provider = 0;
-  std::uint64_t stale_misplaced = 0;
-  double slot_span_ratio = 1.0;
-  metrics::LatencyHistogram latency_first_result;
-  metrics::LatencyHistogram latency_finish;
-  std::vector<core::ExperimentResults::MsgTypeCounts> traffic;
-  std::vector<obs::MetricSample> metrics;
+  core::ExperimentResults results;
 };
 
 /// Resident-set high-water mark of this process, in bytes.
@@ -129,38 +123,10 @@ inline PerfSample timed_run(const core::ExperimentConfig& config,
   exp.setup();
   if (profiler != nullptr) exp.bus().set_time_profiler(profiler);
   exp.run();
-  const core::ExperimentResults r = exp.results();
+  core::ExperimentResults r = exp.results();
   const std::chrono::duration<double> dt =
       std::chrono::steady_clock::now() - t0;
-  PerfSample s;
-  s.name = r.protocol;
-  s.wall_seconds = dt.count();
-  s.events = r.events_executed;
-  s.messages = r.total_messages;
-  s.t_ratio = r.t_ratio;
-  s.f_ratio = r.f_ratio;
-  s.msgs_per_node = r.msg_cost_per_node;
-  s.messages_partitioned = r.messages_partitioned;
-  s.stale_dead_provider = r.stale_records_dead_provider;
-  s.stale_misplaced = r.stale_records_misplaced;
-  s.slot_span_ratio = r.slot_span_ratio;
-  s.latency_first_result = r.latency_first_result;
-  s.latency_finish = r.latency_finish;
-  s.traffic = r.traffic_by_type;
-  s.metrics = r.metrics;
-  return s;
-}
-
-/// One "latency" sub-object line for write_perf_json.
-inline void write_latency_json(std::FILE* f, const char* key,
-                               const metrics::LatencyHistogram& h,
-                               const char* trailer) {
-  std::fprintf(f,
-               "\"%s\": { \"n\": %llu, \"mean_s\": %.6f, \"p50_s\": %.6f, "
-               "\"p95_s\": %.6f, \"p99_s\": %.6f, \"p999_s\": %.6f }%s",
-               key, static_cast<unsigned long long>(h.total()), h.mean_s(),
-               h.percentile_s(50.0), h.percentile_s(95.0),
-               h.percentile_s(99.0), h.percentile_s(99.9), trailer);
+  return PerfSample{dt.count(), std::move(r)};
 }
 
 /// Emit the perf-trajectory JSON; returns false (with a warning) on I/O
@@ -169,79 +135,50 @@ inline bool write_perf_json(const std::string& path, const char* bench_name,
                             const BenchOptions& opt,
                             const std::vector<PerfSample>& samples) {
   if (path.empty()) return true;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+  json::Array experiments;
+  for (const PerfSample& s : samples) {
+    const core::ExperimentResults& r = s.results;
+    const double wall = s.wall_seconds > 0.0 ? s.wall_seconds : 1e-9;
+    json::Array traffic;
+    for (const auto& t : r.traffic_by_type) {
+      traffic.push_back(json::Object{
+          {"type", t.type}, {"sent", t.sent}, {"delivered", t.delivered},
+          {"lost", t.lost}, {"partitioned", t.partitioned}});
+    }
+    json::Array pairs;
+    for (const obs::MetricSample& m : r.metrics) {
+      pairs.push_back(json::Object{{"k", m.name}, {"v", m.value}});
+    }
+    experiments.push_back(json::Object{
+        {"name", r.protocol}, {"wall_seconds", s.wall_seconds},
+        {"events", r.events_executed},
+        {"events_per_sec", static_cast<double>(r.events_executed) / wall},
+        {"messages", r.total_messages},
+        {"messages_per_sec", static_cast<double>(r.total_messages) / wall},
+        {"t_ratio", r.t_ratio}, {"f_ratio", r.f_ratio},
+        {"msgs_per_node", r.msg_cost_per_node},
+        {"messages_partitioned", r.messages_partitioned},
+        {"stale_dead_provider", r.stale_records_dead_provider},
+        {"stale_misplaced", r.stale_records_misplaced},
+        {"slot_span_ratio", r.slot_span_ratio},
+        {"latency",
+         json::Object{{"first_result", r.latency_first_result.summary_json()},
+                      {"finish", r.latency_finish.summary_json()}}},
+        {"traffic", std::move(traffic)},
+        {"metrics", std::move(pairs)}});
+  }
+  const std::uint64_t rss = peak_rss_bytes();
+  const json::Object doc{
+      {"bench", bench_name}, {"nodes", opt.nodes}, {"hours", opt.hours},
+      {"seed", opt.seed}, {"full", opt.full}, {"peak_rss_bytes", rss},
+      {"peak_rss_bytes_per_node",
+       static_cast<double>(rss) /
+           static_cast<double>(std::max<std::size_t>(opt.nodes, 1))},
+      {"experiments", std::move(experiments)}};
+  if (!json::save(path, doc)) {
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
     return false;
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"%s\",\n",
-               json_mini::escape(bench_name).c_str());
-  std::fprintf(f, "  \"nodes\": %zu,\n", opt.nodes);
-  std::fprintf(f, "  \"hours\": %.3f,\n", opt.hours);
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(opt.seed));
-  std::fprintf(f, "  \"full\": %s,\n", opt.full ? "true" : "false");
-  const std::uint64_t rss = peak_rss_bytes();
-  std::fprintf(f, "  \"peak_rss_bytes\": %llu,\n",
-               static_cast<unsigned long long>(rss));
-  std::fprintf(f, "  \"peak_rss_bytes_per_node\": %.1f,\n",
-               static_cast<double>(rss) /
-                   static_cast<double>(std::max<std::size_t>(opt.nodes, 1)));
-  std::fprintf(f, "  \"experiments\": [\n");
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const PerfSample& s = samples[i];
-    const double wall = s.wall_seconds > 0.0 ? s.wall_seconds : 1e-9;
-    std::fprintf(f,
-                 "    { \"name\": \"%s\", \"wall_seconds\": %.6f,\n"
-                 "      \"events\": %llu, \"events_per_sec\": %.1f,\n"
-                 "      \"messages\": %llu, \"messages_per_sec\": %.1f,\n"
-                 "      \"t_ratio\": %.6f, \"f_ratio\": %.6f, "
-                 "\"msgs_per_node\": %.3f,\n"
-                 "      \"messages_partitioned\": %llu,\n"
-                 "      \"stale_dead_provider\": %llu, "
-                 "\"stale_misplaced\": %llu,\n"
-                 "      \"slot_span_ratio\": %.3f,\n"
-                 "      \"latency\": { ",
-                 json_mini::escape(s.name).c_str(), s.wall_seconds,
-                 static_cast<unsigned long long>(s.events),
-                 static_cast<double>(s.events) / wall,
-                 static_cast<unsigned long long>(s.messages),
-                 static_cast<double>(s.messages) / wall, s.t_ratio, s.f_ratio,
-                 s.msgs_per_node,
-                 static_cast<unsigned long long>(s.messages_partitioned),
-                 static_cast<unsigned long long>(s.stale_dead_provider),
-                 static_cast<unsigned long long>(s.stale_misplaced),
-                 s.slot_span_ratio);
-    write_latency_json(f, "first_result", s.latency_first_result, ", ");
-    write_latency_json(f, "finish", s.latency_finish, " },\n");
-    std::fprintf(f, "      \"traffic\": [");
-    for (std::size_t t = 0; t < s.traffic.size(); ++t) {
-      const auto& m = s.traffic[t];
-      std::fprintf(f,
-                   "%s\n        { \"type\": \"%s\", \"sent\": %llu, "
-                   "\"delivered\": %llu, \"lost\": %llu, "
-                   "\"partitioned\": %llu }",
-                   t > 0 ? "," : "", json_mini::escape(m.type).c_str(),
-                   static_cast<unsigned long long>(m.sent),
-                   static_cast<unsigned long long>(m.delivered),
-                   static_cast<unsigned long long>(m.lost),
-                   static_cast<unsigned long long>(m.partitioned));
-    }
-    // Registry snapshot as {"k","v"} pairs: metric names live inside
-    // escaped string *values*, so a hostile name can never alias a schema
-    // key under json_mini's needle parsing (see src/obs/registry.hpp).
-    std::fprintf(f, " ],\n      \"metrics\": [");
-    for (std::size_t m = 0; m < s.metrics.size(); ++m) {
-      std::fprintf(f, "%s\n        { \"k\": \"%s\", \"v\": %.6f }",
-                   m > 0 ? "," : "",
-                   json_mini::escape(s.metrics[m].name).c_str(),
-                   s.metrics[m].value);
-    }
-    std::fprintf(f, " ] }%s\n", i + 1 < samples.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
   return true;
 }
 

@@ -33,8 +33,6 @@
 // the curated trajectory).
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "bench/compare_core.hpp"
 #include "src/common/cli.hpp"
@@ -43,15 +41,13 @@ namespace {
 
 std::optional<soc::bench::PerfReport> parse_report_file(
     const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  const auto text = soc::json::read_file(path);
+  if (!text.has_value()) {
     std::fprintf(stderr, "bench_compare: cannot read %s\n", path.c_str());
     return std::nullopt;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
   std::string err;
-  auto r = soc::bench::parse_report_text(buf.str(), &err);
+  auto r = soc::bench::parse_report_text(*text, &err);
   if (!r.has_value()) {
     std::fprintf(stderr, "bench_compare: %s in %s\n", err.c_str(),
                  path.c_str());

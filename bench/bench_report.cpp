@@ -57,12 +57,14 @@ int main(int argc, char** argv) {
     obs::TimeProfiler profiler(static_cast<std::size_t>(net::MsgType::kCount));
     const PerfSample s =
         timed_run(c, profile_handlers ? &profiler : nullptr);
+    const core::ExperimentResults& r = s.results;
     const double wall = s.wall_seconds > 0.0 ? s.wall_seconds : 1e-9;
-    std::printf("%-14s %10.3f %14llu %14.0f %14llu %14.0f\n", s.name.c_str(),
-                s.wall_seconds, static_cast<unsigned long long>(s.events),
-                static_cast<double>(s.events) / wall,
-                static_cast<unsigned long long>(s.messages),
-                static_cast<double>(s.messages) / wall);
+    std::printf("%-14s %10.3f %14llu %14.0f %14llu %14.0f\n",
+                r.protocol.c_str(), s.wall_seconds,
+                static_cast<unsigned long long>(r.events_executed),
+                static_cast<double>(r.events_executed) / wall,
+                static_cast<unsigned long long>(r.total_messages),
+                static_cast<double>(r.total_messages) / wall);
     samples.push_back(s);
     if (profile_handlers) {
       // Wall time per handler type: where the events/sec above is spent.
@@ -97,11 +99,11 @@ int main(int argc, char** argv) {
   std::printf("\n%-14s %16s %16s\n", "config", "rss-post-join", "rss-post-churn");
   for (const PerfSample& s : samples) {
     double post_join = 0.0, post_churn = 0.0;
-    for (const auto& m : s.metrics) {
+    for (const auto& m : s.results.metrics) {
       if (m.name == "rss.post_join.bytes") post_join = m.value;
       if (m.name == "rss.post_churn.bytes") post_churn = m.value;
     }
-    std::printf("%-14s %12.1f MiB %12.1f MiB\n", s.name.c_str(),
+    std::printf("%-14s %12.1f MiB %12.1f MiB\n", s.results.protocol.c_str(),
                 post_join / (1024.0 * 1024.0), post_churn / (1024.0 * 1024.0));
   }
   std::printf("\npeak RSS: %.1f MiB\n",

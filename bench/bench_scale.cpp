@@ -12,58 +12,18 @@
 // bounded by DenseNodeMap compaction, see src/common/dense_node_map.hpp).
 //
 // --verify-identical runs the identical config twice in-process and fails
-// unless both runs produce bit-identical results (FNV over counters and
-// raw metric bits) — the determinism half of the scale acceptance
+// unless both runs produce bit-identical results
+// (ExperimentResults::fingerprint: counters, double bits, the series,
+// per-MsgType traffic, both latency histograms and the deterministic
+// registry samples) — the determinism half of the scale acceptance
 // criterion.  The 1M-node invocation is in README "Scaling"; the ctest
 // `scale` label runs the 100k smoke (see CMakeLists.txt).
-#include <bit>
 #include <cinttypes>
 
 #include "bench/bench_common.hpp"
 
 using namespace soc;
 using namespace soc::bench;
-
-namespace {
-
-/// FNV-1a over the deterministic results fields (counters + raw double
-/// bits), mirroring tests/golden_trajectory_test.cpp's fingerprint shape.
-std::uint64_t results_fingerprint(const core::ExperimentResults& r) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto add = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  };
-  const auto add_double = [&add](double d) {
-    add(std::bit_cast<std::uint64_t>(d));
-  };
-  add(r.generated);
-  add(r.finished);
-  add(r.failed);
-  add(r.total_messages);
-  add(r.messages_delivered);
-  add(r.messages_lost);
-  add(r.messages_partitioned);
-  add(r.events_executed);
-  add_double(r.t_ratio);
-  add_double(r.f_ratio);
-  add_double(r.fairness);
-  add_double(r.avg_query_delay_s);
-  add_double(r.slot_span_ratio);
-  for (const auto& s : r.series) {
-    add(s.generated);
-    add(s.finished);
-    add(s.failed);
-    add_double(s.t_ratio);
-    add_double(s.f_ratio);
-    add_double(s.fairness);
-  }
-  return h;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
@@ -91,35 +51,19 @@ int main(int argc, char** argv) {
   c.protocol = *protocol;
   c.churn_dynamic_degree = churn;
 
-  const auto t0 = std::chrono::steady_clock::now();
-  const core::ExperimentResults r1 = core::run_experiment(c);
-  const std::chrono::duration<double> dt =
-      std::chrono::steady_clock::now() - t0;
-  PerfSample s;
-  s.name = r1.protocol;
-  s.wall_seconds = dt.count();
-  s.events = r1.events_executed;
-  s.messages = r1.total_messages;
-  s.t_ratio = r1.t_ratio;
-  s.f_ratio = r1.f_ratio;
-  s.msgs_per_node = r1.msg_cost_per_node;
-  s.messages_partitioned = r1.messages_partitioned;
-  s.stale_dead_provider = r1.stale_records_dead_provider;
-  s.stale_misplaced = r1.stale_records_misplaced;
-  s.slot_span_ratio = r1.slot_span_ratio;
-  s.traffic = r1.traffic_by_type;
-  s.metrics = r1.metrics;
+  const PerfSample s = timed_run(c);
+  const core::ExperimentResults& r1 = s.results;
   const double wall = s.wall_seconds > 0.0 ? s.wall_seconds : 1e-9;
   const std::uint64_t rss = peak_rss_bytes();
   std::printf("%-14s %10.1fs %12llu ev %10.0f ev/s %12llu msg\n",
-              s.name.c_str(), s.wall_seconds,
-              static_cast<unsigned long long>(s.events),
-              static_cast<double>(s.events) / wall,
-              static_cast<unsigned long long>(s.messages));
+              r1.protocol.c_str(), s.wall_seconds,
+              static_cast<unsigned long long>(r1.events_executed),
+              static_cast<double>(r1.events_executed) / wall,
+              static_cast<unsigned long long>(r1.total_messages));
   std::printf("peak RSS: %.1f MiB  (%.0f bytes/node)\n",
               static_cast<double>(rss) / (1024.0 * 1024.0),
               static_cast<double>(rss) / static_cast<double>(c.nodes));
-  std::printf("slot_span_ratio: %.3f\n", s.slot_span_ratio);
+  std::printf("slot_span_ratio: %.3f\n", r1.slot_span_ratio);
 
   // Attribution-profiler breakdown: per-subsystem bytes/node from the
   // registry's capacity accounting (mem.<bucket>.bytes), against the
@@ -128,7 +72,7 @@ int main(int argc, char** argv) {
   // stack make up the remainder.
   std::printf("\n%-24s %14s %12s\n", "subsystem", "bytes", "bytes/node");
   double accounted = 0.0;
-  for (const auto& m : s.metrics) {
+  for (const auto& m : r1.metrics) {
     if (m.name.rfind("mem.", 0) != 0 || m.name == "mem.slot_span_ratio" ||
         m.name == "mem.total.bytes") {
       continue;
@@ -148,7 +92,7 @@ int main(int argc, char** argv) {
   // free-list slack from departed nodes' freed state — held by the
   // allocator, attributable to no subsystem, and itself a bytes/node
   // lever (pooling per-node protocol state would reclaim it).
-  for (const auto& m : s.metrics) {
+  for (const auto& m : r1.metrics) {
     if (m.name == "rss.post_join.bytes" && m.value > 0.0) {
       std::printf("coverage vs post-join RSS: %.0f%%  (churn adds %.1f MiB "
                   "allocator slack, %.0f bytes/node)\n",
@@ -166,8 +110,8 @@ int main(int argc, char** argv) {
     // must hold against allocator/address-layout differences, not be an
     // artifact of a fresh address space.
     const core::ExperimentResults r2 = core::run_experiment(c);
-    const std::uint64_t f1 = results_fingerprint(r1);
-    const std::uint64_t f2 = results_fingerprint(r2);
+    const std::uint64_t f1 = r1.fingerprint();
+    const std::uint64_t f2 = r2.fingerprint();
     if (f1 == f2) {
       std::printf("verify-identical: OK (fingerprint %016" PRIx64 ")\n", f1);
     } else {

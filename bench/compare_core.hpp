@@ -25,6 +25,10 @@
 // per-group keys (t_ratio_mean, f_ratio_ci95, ...) are simply ignored
 // here.  Comparing two merged reports of the same spec with
 // --check-counts=1 is a whole-grid trajectory gate.
+//
+// Both kinds are read through the src/common/json codec: a report is
+// parsed whole, so a truncated or malformed file is refused outright
+// instead of gating on whatever fields happened to precede the damage.
 #pragma once
 
 #include <algorithm>
@@ -33,78 +37,57 @@
 #include <string>
 #include <vector>
 
-#include "src/common/json_mini.hpp"
+#include "src/common/json.hpp"
 
 namespace soc::bench {
 
+/// The fields the gate reads from one experiment block.
 struct PerfExperiment {
   std::string name;
-  double wall_seconds = 0.0;
   double events = 0.0;
   double events_per_sec = 0.0;
   double messages = 0.0;
   double messages_per_sec = 0.0;
-  /// Memory-layout density (PR 7 schema addition).  Defaults to 1.0 when
-  /// absent so reports predating the field compare cleanly; never gated —
-  /// the stress tests own the density bound, the gate owns rates/counts.
-  double slot_span_ratio = 1.0;
 };
 
 struct PerfReport {
   double nodes = 0.0;
   double hours = 0.0;
   double seed = 0.0;
-  /// PR 7 schema addition; 0.0 when the report predates the field.
+  /// Printed, never gated; 0.0 for merged sweep reports, which have no
+  /// process to measure, and for reports that predate the field.
   double peak_rss_bytes_per_node = 0.0;
   std::vector<PerfExperiment> experiments;
 };
 
-/// Bounded key lookup, shared with the sweep parser (src/common/json_mini).
-using json_mini::find_number;
-
-/// Parse one BENCH_*.json body.  Returns nullopt (and sets `err`) when no
-/// experiment block is found.
+/// Parse one BENCH_*.json or merged sweep report body.  Returns nullopt
+/// (and sets `err`) when the document is malformed, lacks a field the gate
+/// reads, or holds no experiment.
 inline std::optional<PerfReport> parse_report_text(const std::string& text,
                                                    std::string* err) {
-  PerfReport r;
-  r.nodes = find_number(text, "nodes", 0).value_or(0.0);
-  r.hours = find_number(text, "hours", 0).value_or(0.0);
-  r.seed = find_number(text, "seed", 0).value_or(0.0);
-  r.peak_rss_bytes_per_node =
-      find_number(text, "peak_rss_bytes_per_node", 0).value_or(0.0);
-
-  std::size_t pos = 0;
-  for (;;) {
-    const std::string needle = "\"name\": \"";
-    const std::size_t at = text.find(needle, pos);
-    if (at == std::string::npos) break;
-    const std::size_t name_start = at + needle.size();
-    const std::size_t name_end = text.find('"', name_start);
-    if (name_end == std::string::npos) break;
-    // Fields must come from this experiment's block: bound the search at
-    // the next experiment's "name" key (or end of file for the last one).
-    std::size_t block_end = text.find(needle, name_end);
-    if (block_end == std::string::npos) block_end = text.size();
-    PerfExperiment e;
-    e.name = text.substr(name_start, name_end - name_start);
-    e.wall_seconds =
-        find_number(text, "wall_seconds", name_end, block_end).value_or(0.0);
-    e.events = find_number(text, "events", name_end, block_end).value_or(0.0);
-    e.events_per_sec =
-        find_number(text, "events_per_sec", name_end, block_end).value_or(0.0);
-    e.messages =
-        find_number(text, "messages", name_end, block_end).value_or(0.0);
-    e.messages_per_sec = find_number(text, "messages_per_sec", name_end,
-                                     block_end).value_or(0.0);
-    e.slot_span_ratio = find_number(text, "slot_span_ratio", name_end,
-                                    block_end).value_or(1.0);
-    r.experiments.push_back(std::move(e));
-    pos = name_end;
-  }
-  if (r.experiments.empty()) {
-    if (err != nullptr) *err = "no experiments found";
+  const auto fail = [err](const char* why) {
+    if (err != nullptr) *err = why;
     return std::nullopt;
+  };
+  const auto doc = json::parse(text);
+  if (!doc.has_value()) return fail("malformed JSON");
+  json::Fields f(*doc);
+  PerfReport r;
+  r.nodes = f.f64("nodes");
+  r.hours = f.f64("hours");
+  r.seed = f.f64("seed");
+  if (const json::Value* rss = doc->find("peak_rss_bytes_per_node")) {
+    r.peak_rss_bytes_per_node = rss->f64().value_or(0.0);
   }
+  for (const json::Value& v : f.array("experiments")) {
+    json::Fields e(v);
+    r.experiments.push_back(
+        PerfExperiment{e.str("name"), e.f64("events"), e.f64("events_per_sec"),
+                       e.f64("messages"), e.f64("messages_per_sec")});
+    if (!e.ok()) return fail("experiment lacks a field the gate reads");
+  }
+  if (!f.ok()) return fail("report lacks a field the gate reads");
+  if (r.experiments.empty()) return fail("no experiments found");
   return r;
 }
 

@@ -25,6 +25,11 @@
 #   scripts/ci.sh asan      # unit lane under ASan+UBSan in a separate
 #                           # build-asan tree (never mixes with Release
 #                           # objects or the bench gate)
+#   scripts/ci.sh perfbench # builds the repository benchmark (perfbench/)
+#                           # against this tree and runs its figure-fig4
+#                           # workload (the sweep shard/merge path) for
+#                           # 5 s; fails unless the result line reports
+#                           # "correct": true and "failed": 0
 #
 # Re-baseline bookkeeping: `cmake --build build --target archive_baseline`
 # copies bench/BENCH_baseline.json into bench/history/ (regen_goldens does
@@ -46,6 +51,28 @@ if [ "$lane" = "asan" ]; then
   cmake --build "$root/build-asan" -j
   cd "$root/build-asan"
   exec ctest -L unit --output-on-failure -j8
+fi
+
+# The perfbench lane builds through the benchmark's own runner (into
+# .bench_build/): nothing in the other lanes compiles perfbench.cpp, so an
+# src/ API change that breaks it would otherwise go unseen.
+if [ "$lane" = "perfbench" ]; then
+  cd "$root"
+  mkdir -p .bench_build
+  out=.bench_build/ci-perfbench.out
+  status=0
+  python3 perfbench/run.py --workload figure-fig4 --seed 1 --seconds 5 \
+      --trace 0 > "$out" || status=$?
+  cat "$out"
+  [ "$status" -eq 0 ] || exit "$status"
+  exec python3 - "$out" <<'EOF'
+import json, sys
+lines = open(sys.argv[1]).read().splitlines()
+result = json.loads(lines[-1]) if lines else {}
+ok = result.get("correct") is True and result.get("failed") == 0
+print("perfbench lane:", "OK" if ok else "FAILED", file=sys.stderr)
+sys.exit(0 if ok else 1)
+EOF
 fi
 
 cmake -B "$root/build" -S "$root" -DCMAKE_BUILD_TYPE=Release
@@ -81,7 +108,7 @@ case "$lane" in
     ctest -C nightly --output-on-failure -j8
     ;;
   *)
-    echo "usage: scripts/ci.sh [unit|sweep|figures|obs|serving|scale|full|nightly|asan]" >&2
+    echo "usage: scripts/ci.sh [unit|sweep|figures|obs|serving|scale|full|nightly|asan|perfbench]" >&2
     exit 2
     ;;
 esac

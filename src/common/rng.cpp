@@ -3,22 +3,14 @@
 #include <cmath>
 #include <numbers>
 
+#include "src/common/fnv.hpp"
+
 namespace soc {
 
 namespace {
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
-}
-
-std::uint64_t hash_name(std::string_view name) {
-  // FNV-1a 64-bit over the stream name; stable across platforms.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : name) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 }  // namespace
@@ -43,7 +35,7 @@ std::uint64_t Rng::next_u64() {
 }
 
 Rng Rng::fork(std::string_view name) const {
-  return Rng(seed_ ^ hash_name(name) ^ 0x9e3779b97f4a7c15ull);
+  return Rng(seed_ ^ fnv1a(name) ^ 0x9e3779b97f4a7c15ull);
 }
 
 Rng Rng::fork(std::uint64_t key) const {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "src/common/fnv.hpp"
 #include "src/common/logging.hpp"
 #include "src/core/khdn_protocol.hpp"
 #include "src/obs/profiler.hpp"
@@ -927,6 +928,37 @@ ExperimentResults Experiment::results() const {
   registry_.set("mem.total.bytes", static_cast<double>(breakdown.total()));
   r.metrics = registry_.snapshot();
   return r;
+}
+
+std::uint64_t ExperimentResults::fingerprint() const {
+  Fnv1a h;
+  h.str(protocol);
+  for (const std::uint64_t v :
+       {generated, finished, failed, total_messages, messages_delivered,
+        messages_lost, messages_partitioned, events_executed, fail_infeasible,
+        fail_feasible, fail_undiscoverable, empty_query_results,
+        dispatch_rejects, tasks_killed_by_churn, checkpoint_restarts,
+        checkpoint_snapshots, stale_records_dead_provider,
+        stale_records_misplaced}) {
+    h.u64(v);
+  }
+  for (const double d :
+       {t_ratio, f_ratio, fairness, msg_cost_per_node, avg_query_delay_s,
+        avg_dispatch_attempts, wasted_work_rate_seconds, slot_span_ratio}) {
+    h.f64(d);
+  }
+  for (const metrics::SeriesSample& s : series) {
+    h.f64(s.hour).u64(s.generated).u64(s.finished).u64(s.failed);
+    h.f64(s.t_ratio).f64(s.f_ratio).f64(s.fairness);
+  }
+  for (const MsgTypeCounts& t : traffic_by_type) {
+    h.str(t.type).u64(t.sent).u64(t.delivered).u64(t.lost).u64(t.partitioned);
+  }
+  h.str(latency_first_result.encode()).str(latency_finish.encode());
+  for (const obs::MetricSample& m : metrics) {
+    if (m.deterministic) h.str(m.name).f64(m.value);
+  }
+  return h.value();
 }
 
 ExperimentResults run_experiment(const ExperimentConfig& config) {

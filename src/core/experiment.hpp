@@ -211,6 +211,13 @@ struct ExperimentResults {
   /// (RSS gauges, wall-time profiles) are excluded from byte-compared
   /// artifacts, the same regime as wall_seconds.
   std::vector<obs::MetricSample> metrics;
+
+  /// FNV-1a over every deterministic field: the protocol name, every
+  /// counter, the bits of every double, the series, per-MsgType traffic,
+  /// both latency histograms and the deterministic registry samples.  Two
+  /// runs of one config must agree on it exactly (bench_scale
+  /// --verify-identical, sim_fuzz replays, tracer transparency).
+  [[nodiscard]] std::uint64_t fingerprint() const;
 };
 
 /// Run one full simulation; deterministic in config.seed.

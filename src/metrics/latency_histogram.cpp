@@ -124,4 +124,10 @@ bool LatencyHistogram::merge_encoded(std::string_view text) {
   return true;
 }
 
+json::Object LatencyHistogram::summary_json() const {
+  return {{"n", total()}, {"mean_s", mean_s()},
+          {"p50_s", percentile_s(50.0)}, {"p95_s", percentile_s(95.0)},
+          {"p99_s", percentile_s(99.0)}, {"p999_s", percentile_s(99.9)}};
+}
+
 }  // namespace soc::metrics

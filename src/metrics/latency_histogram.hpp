@@ -17,6 +17,8 @@
 #include <string>
 #include <string_view>
 
+#include "src/common/json.hpp"
+
 namespace soc::metrics {
 
 class LatencyHistogram {
@@ -51,6 +53,10 @@ class LatencyHistogram {
   /// Fold an encode()d histogram into *this; false on malformed input
   /// (*this is left unchanged on failure).
   bool merge_encoded(std::string_view text);
+
+  /// The report block: {"n", "mean_s", "p50_s", "p95_s", "p99_s",
+  /// "p999_s"} (BENCH_*.json and the merged sweep report).
+  [[nodiscard]] json::Object summary_json() const;
 
  private:
   std::array<std::uint64_t, kBucketCount> counts_{};

@@ -9,15 +9,13 @@
 //
 // Naming convention: `<subsystem>.<object>.<measure>` in the charset
 // `[A-Za-z0-9_.-]` — e.g. `bus.gossip.sent`, `index.stale_debt.peak`,
-// `mem.host_table.bytes`.  Names always contain a dot, so a metric key
-// in a JSON block can never alias a schema key searched by json_mini's
-// `"key":` needles (the needle includes the opening quote, and a dotted
-// name never has a quote before its final segment).  Hostile names —
-// schema words like `series` or `key`, or out-of-charset bytes — are
-// defanged twice: sanitize() rewrites forbidden bytes to '_', and the
-// shard schema stores samples as {"k": name, "v": value} pairs so names
-// live inside string *values*, never as keys (obs_registry_test pins
-// the round-trip).
+// `mem.host_table.bytes`.  sanitize() rewrites bytes outside the charset
+// to '_'.  Reports store samples as {"k": name, "v": value} pairs (bench
+// `--json`, sweep shard and merged files), so a name is always a string
+// value, never an object key: no name, not even a schema word like
+// `series` or `key`, can collide with a report field, and the
+// src/common/json codec escapes whatever bytes it holds
+// (obs_registry_test pins the round-trip).
 //
 // Determinism: every sample carries a `deterministic` flag.  Samples
 // derived from simulation state (counters, slot-span ratios) are

@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "src/common/json.hpp"
+
 namespace soc::obs {
 
 namespace {
@@ -75,78 +77,38 @@ std::size_t Tracer::count_ph(char ph) const {
 }
 
 std::string Tracer::to_json() const {
-  std::string out;
-  out.reserve(64 + events_.size() * 96);
-  out += "{\"traceEvents\": [\n";
-  char buf[256];
-  bool first = true;
-  auto emit = [&](const char* line) {
-    if (!first) out += ",\n";
-    first = false;
-    out += line;
+  std::string out = "{\"traceEvents\": [\n";
+  const std::size_t head = out.size();
+  const auto emit = [&out, head](json::Object event) {
+    if (out.size() > head) out += ",\n";
+    out += json::dump(json::Value(std::move(event)));
   };
   for (const auto& [pid, name] : lanes_) {
-    std::snprintf(buf, sizeof(buf),
-                  "{\"ph\": \"M\", \"pid\": %" PRIu32
-                  ", \"tid\": 0, \"name\": \"process_name\", "
-                  "\"args\": {\"name\": \"%s\"}}",
-                  pid, name.c_str());
-    emit(buf);
+    emit({{"ph", "M"}, {"pid", std::uint64_t{pid}}, {"tid", std::uint64_t{0}},
+          {"name", "process_name"}, {"args", json::Object{{"name", name}}}});
   }
   for (const Event& e : events_) {
-    char args[96] = "";
+    json::Object v{{"ph", std::string(1, e.ph)}, {"pid", std::uint64_t{e.pid}},
+                   {"tid", std::uint64_t{0}}, {"cat", e.cat}, {"name", e.name}};
+    if (e.ph == 'b' || e.ph == 'e' || e.ph == 'n') {
+      char id[24];
+      std::snprintf(id, sizeof(id), "0x%" PRIx64, e.id);
+      v.emplace_back("id", id);
+    }
+    if (e.ph == 'i') v.emplace_back("s", "p");
+    v.emplace_back("ts", static_cast<std::uint64_t>(e.ts));
+    if (e.ph == 'X') v.emplace_back("dur", static_cast<std::uint64_t>(e.dur));
     if (e.arg_key != nullptr) {
-      std::snprintf(args, sizeof(args), ", \"args\": {\"%s\": %" PRIu64 "}",
-                    e.arg_key, e.arg);
+      v.emplace_back("args", json::Object{{e.arg_key, e.arg}});
     }
-    switch (e.ph) {
-      case 'b':
-      case 'e':
-      case 'n':
-        std::snprintf(buf, sizeof(buf),
-                      "{\"ph\": \"%c\", \"pid\": %" PRIu32
-                      ", \"tid\": 0, \"cat\": \"%s\", \"name\": \"%s\", "
-                      "\"id\": \"0x%" PRIx64 "\", \"ts\": %" PRId64 "%s}",
-                      e.ph, e.pid, e.cat, e.name, e.id, e.ts, args);
-        break;
-      case 'X':
-        std::snprintf(buf, sizeof(buf),
-                      "{\"ph\": \"X\", \"pid\": %" PRIu32
-                      ", \"tid\": 0, \"cat\": \"%s\", \"name\": \"%s\", "
-                      "\"ts\": %" PRId64 ", \"dur\": %" PRId64 "%s}",
-                      e.pid, e.cat, e.name, e.ts, e.dur, args);
-        break;
-      default:  // 'i'
-        std::snprintf(buf, sizeof(buf),
-                      "{\"ph\": \"i\", \"pid\": %" PRIu32
-                      ", \"tid\": 0, \"cat\": \"%s\", \"name\": \"%s\", "
-                      "\"s\": \"p\", \"ts\": %" PRId64 "%s}",
-                      e.pid, e.cat, e.name, e.ts, args);
-        break;
-    }
-    emit(buf);
+    emit(std::move(v));
   }
   out += "\n]}\n";
   return out;
 }
 
 bool Tracer::export_json(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = to_json();
-  const bool wrote =
-      std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return json::write_atomic(path, to_json());
 }
 
 }  // namespace soc::obs

@@ -19,7 +19,8 @@
 // reallocation-copy as the buffer grows) holding fixed-size records whose
 // category/name/argument-key strings must be string literals (the tracer
 // stores the pointers, it does not copy).  export_json() writes one event
-// per line via tmp+rename, the same atomic-publish discipline as the
+// per line, each through the src/common/json writer (so lane names are
+// escaped), via tmp+rename, the same atomic-publish discipline as the
 // sweep shard files.
 #pragma once
 

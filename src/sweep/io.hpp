@@ -1,19 +1,23 @@
-// Small file-IO helpers shared by the sweep subsystem (shard results,
-// manifest, merged report).
+// Helpers shared by the sweep subsystem's files (shard results, manifest,
+// merged report), on top of the src/common/json codec.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
+
+#include "src/common/json.hpp"
 
 namespace soc::sweep {
 
-/// Write `content` to `path` via tmp-file + rename, so readers (and a
-/// resuming orchestrator) only ever see absent or complete files — a
-/// worker killed mid-write leaves no torn result.  Returns false on I/O
-/// error.
-bool write_atomic(const std::string& path, const std::string& content);
+using json::read_file;
+using json::write_atomic;
 
-/// Whole file as a string; nullopt when unreadable.
-[[nodiscard]] std::optional<std::string> read_file(const std::string& path);
+/// A spec fingerprint as the 16 hex digits the sweep files store, and
+/// back (nullopt unless `text` is exactly 16 hex digits).
+[[nodiscard]] std::string fingerprint_hex(std::uint64_t fp);
+[[nodiscard]] std::optional<std::uint64_t> parse_fingerprint_hex(
+    std::string_view text);
 
 }  // namespace soc::sweep

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <map>
 
-#include "src/common/json_mini.hpp"
 #include "src/common/stats.hpp"
 #include "src/sweep/io.hpp"
 
@@ -26,11 +25,8 @@ std::optional<MergedReport> merge_shards(const std::string& dir,
     if (!result.has_value() ||
         !shard_result_valid(*result, shard, fp, shards_total)) {
       if (err != nullptr) {
-        char buf[256];
-        std::snprintf(buf, sizeof(buf),
-                      "shard %zu missing or invalid in %s", shard.id,
-                      dir.c_str());
-        *err = buf;
+        *err = "shard " + std::to_string(shard.id) + " missing or invalid in " +
+               dir;
       }
       return std::nullopt;
     }
@@ -150,111 +146,56 @@ std::optional<MergedReport> merge_shards(const std::string& dir,
 bool write_merged_report(const std::string& path, const SweepSpec& spec,
                          const MergedReport& report) {
   const SweepSpec norm = spec.normalized();
-  std::string out = "{\n  \"bench\": \"sweep\",\n";
-  char buf[768];
+  json::Array experiments;
+  for (const GroupStats& s : report.groups) {
+    json::Object first = s.latency_first_result.summary_json();
+    json::Object finish = s.latency_finish.summary_json();
+    first.emplace_back("p99_ci95", s.latency_first_p99_ci95);
+    finish.emplace_back("p99_ci95", s.latency_finish_p99_ci95);
+    json::Array pairs;
+    for (const obs::MetricSample& m : s.metrics_mean) {
+      pairs.push_back(json::Object{{"k", m.name}, {"v", m.value}});
+    }
+    json::Array points;
+    for (const GroupSeriesPoint& p : s.series) {
+      points.push_back(json::Object{
+          {"hour", p.hour}, {"repeats", p.repeats}, {"t_ratio", p.t_ratio_mean},
+          {"f_ratio", p.f_ratio_mean}, {"fairness", p.fairness_mean}});
+    }
+    // Zeroed wall/rate fields: deterministic bytes, schema-compatible with
+    // bench_compare (which treats a 0 baseline rate as ratio 1.0).
+    experiments.push_back(json::Object{
+        {"name", s.group}, {"wall_seconds", 0.0}, {"events", s.events},
+        {"events_per_sec", 0.0}, {"messages", s.messages},
+        {"messages_per_sec", 0.0}, {"repeats", s.repeats},
+        {"t_ratio_mean", s.t_ratio_mean}, {"t_ratio_median", s.t_ratio_median},
+        {"t_ratio_ci95", s.t_ratio_ci95}, {"f_ratio_mean", s.f_ratio_mean},
+        {"f_ratio_median", s.f_ratio_median}, {"f_ratio_ci95", s.f_ratio_ci95},
+        {"fairness_mean", s.fairness_mean}, {"fairness_ci95", s.fairness_ci95},
+        {"msgs_per_node_mean", s.msgs_per_node_mean},
+        {"avg_query_delay_s_mean", s.avg_query_delay_s_mean},
+        {"generated", s.generated}, {"finished", s.finished},
+        {"failed", s.failed}, {"messages_partitioned", s.messages_partitioned},
+        {"stale_dead_provider", s.stale_dead_provider},
+        {"stale_misplaced", s.stale_misplaced},
+        {"slot_span_ratio", s.slot_span_ratio_max},
+        {"latency", json::Object{{"first_result", std::move(first)},
+                                 {"finish", std::move(finish)}}},
+        {"metrics", std::move(pairs)},
+        {"series", std::move(points)}});
+  }
   // BENCH-schema header.  nodes/hours let bench_compare verify two merged
   // reports describe comparable runs; nodes is 0 because the grid spans
   // several populations (the spec string carries the real axes).
-  std::snprintf(buf, sizeof(buf),
-                "  \"nodes\": 0,\n  \"hours\": %.3f,\n  \"seed\": %llu,\n"
-                "  \"full\": false,\n",
-                norm.hours, static_cast<unsigned long long>(norm.base_seed));
-  out += buf;
-  out += "  \"spec\": \"" + json_mini::escape(norm.describe()) + "\",\n";
-  std::snprintf(buf, sizeof(buf),
-                "  \"spec_fingerprint\": \"%016llx\",\n"
-                "  \"shards_total\": %zu,\n  \"cells\": %zu,\n",
-                static_cast<unsigned long long>(report.spec_fingerprint),
-                report.shards_total, report.cells.size());
-  out += buf;
-  out += "  \"experiments\": [";
-  for (std::size_t i = 0; i < report.groups.size(); ++i) {
-    const GroupStats& s = report.groups[i];
-    // Zeroed wall/rate fields: deterministic bytes, schema-compatible with
-    // bench_compare (which treats a 0 baseline rate as ratio 1.0).
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s\n    { \"name\": \"%s\", \"wall_seconds\": 0,\n"
-        "      \"events\": %llu, \"events_per_sec\": 0,\n"
-        "      \"messages\": %llu, \"messages_per_sec\": 0,\n"
-        "      \"repeats\": %zu,\n"
-        "      \"t_ratio_mean\": %.9g, \"t_ratio_median\": %.9g, "
-        "\"t_ratio_ci95\": %.9g,\n"
-        "      \"f_ratio_mean\": %.9g, \"f_ratio_median\": %.9g, "
-        "\"f_ratio_ci95\": %.9g,\n"
-        "      \"fairness_mean\": %.9g, \"fairness_ci95\": %.9g,\n"
-        "      \"msgs_per_node_mean\": %.9g, "
-        "\"avg_query_delay_s_mean\": %.9g,\n"
-        "      \"generated\": %llu, \"finished\": %llu, \"failed\": %llu,\n"
-        "      \"messages_partitioned\": %llu,\n"
-        "      \"stale_dead_provider\": %llu, \"stale_misplaced\": %llu,\n"
-        "      \"slot_span_ratio\": %.9g,\n",
-        i > 0 ? "," : "", json_mini::escape(s.group).c_str(),
-        static_cast<unsigned long long>(s.events),
-        static_cast<unsigned long long>(s.messages), s.repeats, s.t_ratio_mean,
-        s.t_ratio_median, s.t_ratio_ci95, s.f_ratio_mean, s.f_ratio_median,
-        s.f_ratio_ci95, s.fairness_mean, s.fairness_ci95, s.msgs_per_node_mean,
-        s.avg_query_delay_s_mean, static_cast<unsigned long long>(s.generated),
-        static_cast<unsigned long long>(s.finished),
-        static_cast<unsigned long long>(s.failed),
-        static_cast<unsigned long long>(s.messages_partitioned),
-        static_cast<unsigned long long>(s.stale_dead_provider),
-        static_cast<unsigned long long>(s.stale_misplaced),
-        s.slot_span_ratio_max);
-    out += buf;
-    // Per-group tail latency, bench-schema-shaped ("latency" sub-object as
-    // in BENCH_*.json) plus the cross-repeat p99 CI.  compare_core's
-    // bounded exact-key parser skips unknown keys, so older tooling reads
-    // this report unchanged.
-    const auto latency_json = [&buf](const char* key,
-                                     const metrics::LatencyHistogram& h,
-                                     double p99_ci, const char* trailer) {
-      std::snprintf(buf, sizeof(buf),
-                    "\"%s\": { \"n\": %llu, \"mean_s\": %.9g, "
-                    "\"p50_s\": %.9g, \"p95_s\": %.9g, \"p99_s\": %.9g, "
-                    "\"p999_s\": %.9g, \"p99_ci95\": %.9g }%s",
-                    key, static_cast<unsigned long long>(h.total()),
-                    h.mean_s(), h.percentile_s(50.0), h.percentile_s(95.0),
-                    h.percentile_s(99.0), h.percentile_s(99.9), p99_ci,
-                    trailer);
-      return buf;
-    };
-    out += "      \"latency\": { ";
-    out += latency_json("first_result", s.latency_first_result,
-                        s.latency_first_p99_ci95, ", ");
-    out += latency_json("finish", s.latency_finish, s.latency_finish_p99_ci95,
-                        " },\n");
-    // Per-group registry metrics (mean over repeats), {"k","v"}-encoded
-    // like the shard files; before "series" for the same parser-bounding
-    // reason.
-    out += "      \"metrics\": [";
-    for (std::size_t m = 0; m < s.metrics_mean.size(); ++m) {
-      std::snprintf(buf, sizeof(buf),
-                    "%s\n        { \"k\": \"%s\", \"v\": %.9g }",
-                    m > 0 ? "," : "",
-                    json_mini::escape(s.metrics_mean[m].name).c_str(),
-                    s.metrics_mean[m].value);
-      out += buf;
-    }
-    out += s.metrics_mean.empty() ? "],\n" : " ],\n";
-    out += "      \"series\": [";
-    // Figure curve, after every scalar: the bounded first-match parsers
-    // (merge round-trip, compare_core) must hit the scalar first when a
-    // key name recurs inside the samples.
-    for (std::size_t p = 0; p < s.series.size(); ++p) {
-      const GroupSeriesPoint& pt = s.series[p];
-      std::snprintf(buf, sizeof(buf),
-                    "%s\n        { \"hour\": %.17g, \"repeats\": %zu,"
-                    " \"t_ratio\": %.9g, \"f_ratio\": %.9g,"
-                    " \"fairness\": %.9g }",
-                    p > 0 ? "," : "", pt.hour, pt.repeats, pt.t_ratio_mean,
-                    pt.f_ratio_mean, pt.fairness_mean);
-      out += buf;
-    }
-    out += s.series.empty() ? "] }" : " ] }";
-  }
-  out += "\n  ]\n}\n";
-  return write_atomic(path, out);
+  return json::save(
+      path, json::Object{{"bench", "sweep"}, {"nodes", std::uint64_t{0}},
+                         {"hours", norm.hours}, {"seed", norm.base_seed},
+                         {"full", false}, {"spec", norm.describe()},
+                         {"spec_fingerprint",
+                          fingerprint_hex(report.spec_fingerprint)},
+                         {"shards_total", report.shards_total},
+                         {"cells", report.cells.size()},
+                         {"experiments", std::move(experiments)}});
 }
 
 namespace {

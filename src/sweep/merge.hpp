@@ -8,12 +8,13 @@
 // statistics across the repeat seeds.
 //
 // Byte-determinism: cells are sorted by key before any accumulation, all
-// statistics are computed in that fixed order from %.17g-round-tripped
-// values, and nothing wall-clock-dependent is emitted ("wall_seconds" and
-// the rate fields are fixed at 0) — so the merged bytes are identical no
-// matter how many workers produced the shards, in which order they
-// finished, or on which machine the merge ran.  Merging is idempotent:
-// re-merging the same shard files rewrites the identical file.
+// statistics are computed in that fixed order from values that round-trip
+// the shard files bit-exactly, and nothing wall-clock-dependent is
+// emitted ("wall_seconds" and the rate fields are fixed at 0) — so the
+// merged bytes are identical no matter how many workers produced the
+// shards, in which order they finished, or on which machine the merge
+// ran.  Merging is idempotent: re-merging the same shard files rewrites
+// the identical file.
 #pragma once
 
 #include <optional>

@@ -10,11 +10,109 @@
 #include <cstring>
 #include <map>
 
-#include "src/common/json_mini.hpp"
 #include "src/obs/trace.hpp"
 #include "src/sweep/io.hpp"
 
 namespace soc::sweep {
+
+namespace {
+
+/// CellResult's scalars, listed once: the shard-file key of each and the
+/// ExperimentResults field run_shard copies it from (nullptr for the cell
+/// seed and wall_seconds, which run_shard sets itself).  run_shard, the
+/// shard writer and the shard reader all walk these two tables.
+template <typename T>
+struct Scalar {
+  const char* key;
+  T CellResult::*cell;
+  T core::ExperimentResults::*from;
+};
+
+using C = CellResult;
+using R = core::ExperimentResults;
+
+constexpr Scalar<std::uint64_t> kCounts[] = {
+    {"seed", &C::seed, nullptr},
+    {"generated", &C::generated, &R::generated},
+    {"finished", &C::finished, &R::finished},
+    {"failed", &C::failed, &R::failed},
+    {"events", &C::events, &R::events_executed},
+    {"messages", &C::messages, &R::total_messages},
+    {"delivered", &C::messages_delivered, &R::messages_delivered},
+    {"lost", &C::messages_lost, &R::messages_lost},
+    {"partitioned", &C::messages_partitioned, &R::messages_partitioned},
+    {"stale_dead_provider", &C::stale_dead_provider,
+     &R::stale_records_dead_provider},
+    {"stale_misplaced", &C::stale_misplaced, &R::stale_records_misplaced},
+};
+
+constexpr Scalar<double> kReals[] = {
+    {"t_ratio", &C::t_ratio, &R::t_ratio},
+    {"f_ratio", &C::f_ratio, &R::f_ratio},
+    {"fairness", &C::fairness, &R::fairness},
+    {"msgs_per_node", &C::msgs_per_node, &R::msg_cost_per_node},
+    {"avg_query_delay_s", &C::avg_query_delay_s, &R::avg_query_delay_s},
+    {"slot_span_ratio", &C::slot_span_ratio, &R::slot_span_ratio},
+    {"wall_seconds", &C::wall_seconds, nullptr},
+};
+
+json::Value cell_json(const CellResult& c) {
+  json::Object out{{"key", c.key}, {"group", c.group}};
+  for (const auto& s : kCounts) out.emplace_back(s.key, c.*s.cell);
+  for (const auto& s : kReals) out.emplace_back(s.key, c.*s.cell);
+  out.emplace_back("lat_first_b", c.latency_first_result.encode());
+  out.emplace_back("lat_finish_b", c.latency_finish.encode());
+  json::Array pairs;
+  for (const obs::MetricSample& m : c.metrics) {
+    pairs.push_back(json::Object{{"k", m.name}, {"v", m.value}});
+  }
+  json::Array samples;
+  for (const metrics::SeriesSample& p : c.series) {
+    samples.push_back(json::Object{
+        {"hour", p.hour}, {"generated", p.generated},
+        {"finished", p.finished}, {"failed", p.failed},
+        {"t_ratio", p.t_ratio}, {"f_ratio", p.f_ratio},
+        {"fairness", p.fairness}});
+  }
+  out.emplace_back("metrics", std::move(pairs));
+  out.emplace_back("series", std::move(samples));
+  return out;
+}
+
+std::optional<CellResult> cell_from_json(const json::Value& v) {
+  json::Fields f(v);
+  CellResult c;
+  c.key = f.str("key");
+  c.group = f.str("group");
+  for (const auto& s : kCounts) c.*s.cell = f.u64(s.key);
+  for (const auto& s : kReals) c.*s.cell = f.f64(s.key);
+  if (!c.latency_first_result.merge_encoded(f.str("lat_first_b")) ||
+      !c.latency_finish.merge_encoded(f.str("lat_finish_b"))) {
+    return std::nullopt;
+  }
+  for (const json::Value& m : f.array("metrics")) {
+    json::Fields p(m);
+    c.metrics.push_back(obs::MetricSample{p.str("k"), p.f64("v"), true});
+    if (!p.ok()) return std::nullopt;
+  }
+  for (const json::Value& sample : f.array("series")) {
+    json::Fields p(sample);
+    metrics::SeriesSample s;
+    s.hour = p.f64("hour");
+    s.generated = p.u64("generated");
+    s.finished = p.u64("finished");
+    s.failed = p.u64("failed");
+    s.t_ratio = p.f64("t_ratio");
+    s.f_ratio = p.f64("f_ratio");
+    s.fairness = p.f64("fairness");
+    if (!p.ok()) return std::nullopt;
+    c.series.push_back(s);
+  }
+  if (!f.ok()) return std::nullopt;
+  return c;
+}
+
+}  // namespace
 
 ShardResult run_shard(const Shard& shard, std::uint64_t spec_fingerprint,
                       std::size_t shards_total) {
@@ -38,23 +136,14 @@ ShardResult run_shard(const Shard& shard, std::uint64_t spec_fingerprint,
     CellResult out;
     out.key = cell.key;
     out.group = cell.group;
+    const auto copy = [&](const auto& table) {
+      for (const auto& s : table) {
+        if (s.from != nullptr) out.*s.cell = r.*s.from;
+      }
+    };
+    copy(kCounts);
+    copy(kReals);
     out.seed = cell.config.seed;
-    out.t_ratio = r.t_ratio;
-    out.f_ratio = r.f_ratio;
-    out.fairness = r.fairness;
-    out.msgs_per_node = r.msg_cost_per_node;
-    out.avg_query_delay_s = r.avg_query_delay_s;
-    out.generated = r.generated;
-    out.finished = r.finished;
-    out.failed = r.failed;
-    out.events = r.events_executed;
-    out.messages = r.total_messages;
-    out.messages_delivered = r.messages_delivered;
-    out.messages_lost = r.messages_lost;
-    out.messages_partitioned = r.messages_partitioned;
-    out.stale_dead_provider = r.stale_records_dead_provider;
-    out.stale_misplaced = r.stale_records_misplaced;
-    out.slot_span_ratio = r.slot_span_ratio;
     out.wall_seconds = dt.count();
     out.series = r.series;
     out.latency_first_result = r.latency_first_result;
@@ -68,224 +157,34 @@ ShardResult run_shard(const Shard& shard, std::uint64_t spec_fingerprint,
 }
 
 bool write_shard_result(const std::string& dir, const ShardResult& result) {
-  std::string out = "{\n  \"sweep_shard\": 1,\n";
-  // Sized with ample headroom: a paper-scale cell line with full-width
-  // %.17g metrics and a long key measures ~530 bytes.  Truncation is
-  // checked anyway — a torn cell line would make the shard file
-  // permanently invalid (and the sweep unable to ever complete) while the
-  // worker reports success.
-  char buf[2048];
-  int n = std::snprintf(buf, sizeof(buf),
-                        "  \"spec_fingerprint\": \"%016llx\",\n"
-                        "  \"shard\": %zu,\n  \"shards_total\": %zu,\n",
-                        static_cast<unsigned long long>(
-                            result.spec_fingerprint),
-                        result.shard_id, result.shards_total);
-  if (n < 0 || static_cast<std::size_t>(n) >= sizeof(buf)) return false;
-  out += buf;
-  out += "  \"cells\": [";
-  for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    const CellResult& c = result.cells[i];
-    // %.17g round-trips doubles exactly through strtod, so stats computed
-    // from a parsed shard file equal stats computed from the in-memory
-    // results — a prerequisite for byte-identical merges.
-    n = std::snprintf(
-        buf, sizeof(buf),
-        "%s\n    { \"key\": \"%s\", \"group\": \"%s\", \"seed\": %llu,\n"
-        "      \"t_ratio\": %.17g, \"f_ratio\": %.17g, \"fairness\": %.17g,\n"
-        "      \"msgs_per_node\": %.17g, \"avg_query_delay_s\": %.17g,\n"
-        "      \"generated\": %llu, \"finished\": %llu, \"failed\": %llu,\n"
-        "      \"events\": %llu, \"messages\": %llu,\n"
-        "      \"delivered\": %llu, \"lost\": %llu, \"partitioned\": %llu,\n"
-        "      \"stale_dead_provider\": %llu, \"stale_misplaced\": %llu,\n"
-        "      \"slot_span_ratio\": %.17g,\n"
-        "      \"wall_seconds\": %.6f,\n",
-        i > 0 ? "," : "", json_mini::escape(c.key).c_str(),
-        json_mini::escape(c.group).c_str(),
-        static_cast<unsigned long long>(c.seed), c.t_ratio, c.f_ratio,
-        c.fairness, c.msgs_per_node, c.avg_query_delay_s,
-        static_cast<unsigned long long>(c.generated),
-        static_cast<unsigned long long>(c.finished),
-        static_cast<unsigned long long>(c.failed),
-        static_cast<unsigned long long>(c.events),
-        static_cast<unsigned long long>(c.messages),
-        static_cast<unsigned long long>(c.messages_delivered),
-        static_cast<unsigned long long>(c.messages_lost),
-        static_cast<unsigned long long>(c.messages_partitioned),
-        static_cast<unsigned long long>(c.stale_dead_provider),
-        static_cast<unsigned long long>(c.stale_misplaced), c.slot_span_ratio,
-        c.wall_seconds);
-    if (n < 0 || static_cast<std::size_t>(n) >= sizeof(buf)) return false;
-    out += buf;
-    // The sparse-encoded latency histograms are appended as std::string
-    // concatenations, not through the fixed snprintf buffer: a dense
-    // histogram string can exceed any reasonable stack buffer, and a torn
-    // cell line must never reach disk.  Their alphabet (digits ; : ,)
-    // needs no JSON escaping.
-    out += "      \"lat_first_b\": \"" + c.latency_first_result.encode() +
-           "\",\n";
-    out += "      \"lat_finish_b\": \"" + c.latency_finish.encode() + "\",\n";
-    // Registry metrics as {"k","v"} pairs: the name is an escaped string
-    // *value*, so no metric name can alias a schema key ("generated",
-    // "hour", ...) under the bounded needle parser.  Before "series" so
-    // the series sample scan below never sees them.
-    out += "      \"metrics\": [";
-    for (std::size_t m = 0; m < c.metrics.size(); ++m) {
-      n = std::snprintf(buf, sizeof(buf),
-                        "%s\n        { \"k\": \"%s\", \"v\": %.17g }",
-                        m > 0 ? "," : "",
-                        json_mini::escape(c.metrics[m].name).c_str(),
-                        c.metrics[m].value);
-      if (n < 0 || static_cast<std::size_t>(n) >= sizeof(buf)) return false;
-      out += buf;
-    }
-    out += c.metrics.empty() ? "],\n" : " ],\n";
-    out += "      \"series\": [";
-    // The hour-by-hour samples go AFTER every scalar field: the bounded
-    // first-match parser shares key names between the two ("generated",
-    // "t_ratio", …), so within a cell block the scalar must come first.
-    for (std::size_t s = 0; s < c.series.size(); ++s) {
-      const metrics::SeriesSample& p = c.series[s];
-      n = std::snprintf(
-          buf, sizeof(buf),
-          "%s\n        { \"hour\": %.17g, \"generated\": %llu,"
-          " \"finished\": %llu, \"failed\": %llu,\n"
-          "          \"t_ratio\": %.17g, \"f_ratio\": %.17g,"
-          " \"fairness\": %.17g }",
-          s > 0 ? "," : "", p.hour,
-          static_cast<unsigned long long>(p.generated),
-          static_cast<unsigned long long>(p.finished),
-          static_cast<unsigned long long>(p.failed), p.t_ratio, p.f_ratio,
-          p.fairness);
-      if (n < 0 || static_cast<std::size_t>(n) >= sizeof(buf)) return false;
-      out += buf;
-    }
-    out += c.series.empty() ? "] }" : " ] }";
-  }
-  out += "\n  ]\n}\n";
-  return write_atomic(shard_path(dir, result.shard_id), out);
+  json::Array cells;
+  for (const CellResult& c : result.cells) cells.push_back(cell_json(c));
+  return json::save(shard_path(dir, result.shard_id),
+                    json::Object{{"sweep_shard", std::uint64_t{1}},
+                                 {"spec_fingerprint",
+                                  fingerprint_hex(result.spec_fingerprint)},
+                                 {"shard", result.shard_id},
+                                 {"shards_total", result.shards_total},
+                                 {"cells", std::move(cells)}});
 }
 
 std::optional<ShardResult> read_shard_result(const std::string& path) {
-  const auto text = read_file(path);
-  if (!text.has_value()) return std::nullopt;
-  using json_mini::find_number;
-  using json_mini::find_string;
-  if (!find_number(*text, "sweep_shard", 0).has_value()) return std::nullopt;
+  const auto doc = json::load(path);
+  if (!doc.has_value()) return std::nullopt;
+  json::Fields f(*doc);
   ShardResult r;
-  const auto fp = find_string(*text, "spec_fingerprint", 0);
-  const auto shard = find_number(*text, "shard", 0);
-  const auto total = find_number(*text, "shards_total", 0);
-  if (!fp.has_value() || !shard.has_value() || !total.has_value()) {
+  const auto fp = parse_fingerprint_hex(f.str("spec_fingerprint"));
+  r.shard_id = f.u64("shard");
+  r.shards_total = f.u64("shards_total");
+  for (const json::Value& v : f.array("cells")) {
+    auto c = cell_from_json(v);
+    if (!c.has_value()) return std::nullopt;
+    r.cells.push_back(std::move(*c));
+  }
+  if (f.u64("sweep_shard") != 1 || !fp.has_value() || !f.ok()) {
     return std::nullopt;
   }
-  r.spec_fingerprint = std::strtoull(fp->c_str(), nullptr, 16);
-  r.shard_id = static_cast<std::size_t>(*shard);
-  r.shards_total = static_cast<std::size_t>(*total);
-
-  const std::string needle = "\"key\": \"";
-  std::size_t pos = text->find("\"cells\":");
-  if (pos == std::string::npos) return std::nullopt;
-  pos = text->find(needle, pos);
-  while (pos != std::string::npos) {
-    std::size_t block_end = text->find(needle, pos + needle.size());
-    if (block_end == std::string::npos) block_end = text->size();
-    CellResult c;
-    const auto key = find_string(*text, "key", pos - 1, block_end);
-    const auto group = find_string(*text, "group", pos, block_end);
-    if (!key.has_value() || !group.has_value()) return std::nullopt;
-    c.key = *key;
-    c.group = *group;
-    const auto num = [&](const char* k) {
-      return find_number(*text, k, pos, block_end);
-    };
-    const auto u64 = [&](const char* k) {
-      return json_mini::find_uint64(*text, k, pos, block_end).value_or(0);
-    };
-    const auto required = num("t_ratio");
-    if (!required.has_value()) return std::nullopt;
-    c.seed = u64("seed");
-    c.t_ratio = *required;
-    c.f_ratio = num("f_ratio").value_or(0.0);
-    c.fairness = num("fairness").value_or(1.0);
-    c.msgs_per_node = num("msgs_per_node").value_or(0.0);
-    c.avg_query_delay_s = num("avg_query_delay_s").value_or(0.0);
-    c.generated = u64("generated");
-    c.finished = u64("finished");
-    c.failed = u64("failed");
-    c.events = u64("events");
-    c.messages = u64("messages");
-    c.messages_delivered = u64("delivered");
-    c.messages_lost = u64("lost");
-    // Absent in pre-partition shard files: u64 defaults them to 0.
-    c.messages_partitioned = u64("partitioned");
-    c.stale_dead_provider = u64("stale_dead_provider");
-    c.stale_misplaced = u64("stale_misplaced");
-    c.slot_span_ratio = num("slot_span_ratio").value_or(1.0);
-    c.wall_seconds = num("wall_seconds").value_or(0.0);
-    // Latency histograms: absent in pre-serving shard files (empty
-    // histograms), and a malformed encoding invalidates the whole file —
-    // a silently-dropped histogram would merge wrong percentiles.
-    const auto lat_first = find_string(*text, "lat_first_b", pos, block_end);
-    const auto lat_finish = find_string(*text, "lat_finish_b", pos, block_end);
-    if (lat_first.has_value() &&
-        !c.latency_first_result.merge_encoded(*lat_first)) {
-      return std::nullopt;
-    }
-    if (lat_finish.has_value() &&
-        !c.latency_finish.merge_encoded(*lat_finish)) {
-      return std::nullopt;
-    }
-    // Registry metrics: {"k","v"} pairs between the histograms and the
-    // series (absent in pre-observability shard files).  Bounded at
-    // "series" so a series sample can never be misread as a pair.
-    const std::string pair_needle = "\"k\": \"";
-    std::size_t metrics_end = text->find("\"series\":", pos);
-    if (metrics_end == std::string::npos || metrics_end > block_end) {
-      metrics_end = block_end;
-    }
-    std::size_t mp = text->find(pair_needle, pos);
-    while (mp != std::string::npos && mp < metrics_end) {
-      std::size_t pair_end = text->find(pair_needle, mp + pair_needle.size());
-      if (pair_end == std::string::npos || pair_end > metrics_end) {
-        pair_end = metrics_end;
-      }
-      const auto k = find_string(*text, "k", mp - 1, pair_end);
-      const auto v = find_number(*text, "v", mp, pair_end);
-      if (!k.has_value() || !v.has_value()) return std::nullopt;
-      c.metrics.push_back(
-          obs::MetricSample{*k, *v, /*deterministic=*/true});
-      mp = text->find(pair_needle, pair_end - 1);
-    }
-    // Hour-by-hour samples, delimited by their "hour" key (absent from the
-    // scalar block, and series samples carry no "key", so the cell block
-    // bound above still holds).  Absent in pre-series shard files.
-    const std::string hour_needle = "\"hour\":";
-    std::size_t sp = text->find(hour_needle, pos);
-    while (sp != std::string::npos && sp < block_end) {
-      std::size_t sample_end = text->find(hour_needle, sp + hour_needle.size());
-      if (sample_end == std::string::npos || sample_end > block_end) {
-        sample_end = block_end;
-      }
-      metrics::SeriesSample p;
-      const auto hour = find_number(*text, "hour", sp - 1, sample_end);
-      if (!hour.has_value()) return std::nullopt;
-      p.hour = *hour;
-      p.generated =
-          json_mini::find_uint64(*text, "generated", sp, sample_end).value_or(0);
-      p.finished =
-          json_mini::find_uint64(*text, "finished", sp, sample_end).value_or(0);
-      p.failed =
-          json_mini::find_uint64(*text, "failed", sp, sample_end).value_or(0);
-      p.t_ratio = find_number(*text, "t_ratio", sp, sample_end).value_or(0.0);
-      p.f_ratio = find_number(*text, "f_ratio", sp, sample_end).value_or(0.0);
-      p.fairness = find_number(*text, "fairness", sp, sample_end).value_or(1.0);
-      c.series.push_back(p);
-      sp = text->find(hour_needle, sample_end - 1);
-    }
-    r.cells.push_back(std::move(c));
-    pos = text->find(needle, block_end - 1);
-  }
+  r.spec_fingerprint = *fp;
   return r;
 }
 
@@ -330,15 +229,10 @@ namespace {
 pid_t spawn_worker(const std::string& worker_binary, const SweepSpec& spec,
                    const std::string& dir, std::size_t shards_total,
                    std::size_t shard_id) {
-  std::vector<std::string> args;
-  args.push_back(worker_binary);
-  args.push_back("--mode=worker");
-  args.push_back("--dir=" + dir);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "--shards=%zu", shards_total);
-  args.push_back(buf);
-  std::snprintf(buf, sizeof(buf), "--shard=%zu", shard_id);
-  args.push_back(buf);
+  std::vector<std::string> args{
+      worker_binary, "--mode=worker", "--dir=" + dir,
+      "--shards=" + std::to_string(shards_total),
+      "--shard=" + std::to_string(shard_id)};
   for (std::string& a : spec.to_args()) args.push_back(std::move(a));
 
   std::vector<char*> argv;

@@ -55,15 +55,11 @@ struct CellResult {
   /// submit→finish), carried through shard files in the sparse
   /// LatencyHistogram::encode() form so the merger can fold repeats
   /// bucket-wise (exact integer sums — merge order never matters).
-  /// Absent in pre-serving shard files; parsed as empty.
   metrics::LatencyHistogram latency_first_result;
   metrics::LatencyHistogram latency_finish;
   /// Registry snapshot, deterministic samples only (wall-clock and RSS
   /// gauges stay out — the merged report must be byte-identical however
-  /// the shards ran).  Stored as {"k","v"} pairs in the shard file so a
-  /// hostile metric name lives inside an escaped string value and can
-  /// never alias a schema key under the needle parser.  Absent in
-  /// pre-observability shard files; parsed as empty.
+  /// the shards ran).  Stored as {"k","v"} pairs in the shard file.
   std::vector<obs::MetricSample> metrics;
 };
 
@@ -82,7 +78,9 @@ struct ShardResult {
 /// Atomically write <dir>/shard-<id>.json.
 bool write_shard_result(const std::string& dir, const ShardResult& result);
 
-/// Parse a shard result file; nullopt when absent or malformed.
+/// Parse a shard result file; nullopt when absent, malformed (the file is
+/// read whole through src/common/json, so a truncated file is refused),
+/// or missing any field the writer writes.
 [[nodiscard]] std::optional<ShardResult> read_shard_result(
     const std::string& path);
 

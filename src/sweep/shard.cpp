@@ -1,10 +1,8 @@
 #include "src/sweep/shard.hpp"
 
+#include <charconv>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
-#include "src/common/json_mini.hpp"
 #include "src/sweep/io.hpp"
 
 namespace soc::sweep {
@@ -22,93 +20,63 @@ std::vector<Shard> partition(const SweepSpec& spec, std::size_t shards_total) {
 }
 
 std::string shard_path(const std::string& dir, std::size_t id) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "/shard-%zu.json", id);
-  return dir + buf;
+  return dir + "/shard-" + std::to_string(id) + ".json";
 }
 
 std::string manifest_path(const std::string& dir) {
   return dir + "/manifest.json";
 }
 
-bool write_atomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out << content;
-    out.flush();
-    if (!out) return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+std::string fingerprint_hex(std::uint64_t fp) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(fp));
+  return buf;
 }
 
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+std::optional<std::uint64_t> parse_fingerprint_hex(std::string_view text) {
+  std::uint64_t fp = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, fp, 16);
+  if (text.size() != 16 || ec != std::errc() || ptr != end) {
+    return std::nullopt;
+  }
+  return fp;
 }
 
 bool write_manifest(const std::string& dir, const Manifest& manifest) {
-  std::string out = "{\n";
-  out += "  \"sweep_manifest\": 1,\n";
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "  \"spec_fingerprint\": \"%016llx\",\n",
-                static_cast<unsigned long long>(manifest.spec_fingerprint));
-  out += buf;
-  out += "  \"spec\": \"" + json_mini::escape(manifest.spec) + "\",\n";
-  std::snprintf(buf, sizeof(buf), "  \"shards_total\": %zu,\n",
-                manifest.shards_total);
-  out += buf;
-  out += "  \"shards\": [\n";
-  for (std::size_t i = 0; i < manifest.shards.size(); ++i) {
-    const ShardStatus& s = manifest.shards[i];
-    std::snprintf(buf, sizeof(buf),
-                  "    { \"id\": %zu, \"cells\": %zu, \"state\": \"%s\" }%s\n",
-                  s.id, s.cells, json_mini::escape(s.state).c_str(),
-                  i + 1 < manifest.shards.size() ? "," : "");
-    out += buf;
+  json::Array shards;
+  for (const ShardStatus& s : manifest.shards) {
+    shards.push_back(
+        json::Object{{"id", s.id}, {"cells", s.cells}, {"state", s.state}});
   }
-  out += "  ]\n}\n";
-  return write_atomic(manifest_path(dir), out);
+  return json::save(
+      manifest_path(dir),
+      json::Object{{"sweep_manifest", std::uint64_t{1}},
+                   {"spec_fingerprint",
+                    fingerprint_hex(manifest.spec_fingerprint)},
+                   {"spec", manifest.spec},
+                   {"shards_total", manifest.shards_total},
+                   {"shards", std::move(shards)}});
 }
 
 std::optional<Manifest> read_manifest(const std::string& dir) {
-  const auto text = read_file(manifest_path(dir));
-  if (!text.has_value()) return std::nullopt;
-  using json_mini::find_number;
-  using json_mini::find_string;
+  const auto doc = json::load(manifest_path(dir));
+  if (!doc.has_value()) return std::nullopt;
+  json::Fields f(*doc);
   Manifest m;
-  const auto fp = find_string(*text, "spec_fingerprint", 0);
-  const auto spec = find_string(*text, "spec", 0);
-  const auto total = find_number(*text, "shards_total", 0);
-  if (!fp.has_value() || !spec.has_value() || !total.has_value()) {
+  const auto fp = parse_fingerprint_hex(f.str("spec_fingerprint"));
+  m.spec = f.str("spec");
+  m.shards_total = f.u64("shards_total");
+  for (const json::Value& v : f.array("shards")) {
+    json::Fields s(v);
+    m.shards.push_back(ShardStatus{s.u64("id"), s.u64("cells"), s.str("state")});
+    if (!s.ok()) return std::nullopt;
+  }
+  if (f.u64("sweep_manifest") != 1 || !fp.has_value() || !f.ok()) {
     return std::nullopt;
   }
-  m.spec_fingerprint = std::strtoull(fp->c_str(), nullptr, 16);
-  m.spec = *spec;
-  m.shards_total = static_cast<std::size_t>(*total);
-  std::size_t pos = text->find("\"shards\":");
-  while (pos != std::string::npos) {
-    const std::size_t at = text->find("\"id\":", pos + 1);
-    if (at == std::string::npos) break;
-    std::size_t block_end = text->find("\"id\":", at + 1);
-    if (block_end == std::string::npos) block_end = text->size();
-    ShardStatus s;
-    s.id = static_cast<std::size_t>(
-        find_number(*text, "id", at - 1, block_end).value_or(0));
-    s.cells = static_cast<std::size_t>(
-        find_number(*text, "cells", at, block_end).value_or(0));
-    s.state = find_string(*text, "state", at, block_end).value_or("pending");
-    m.shards.push_back(std::move(s));
-    pos = at;
-  }
+  m.spec_fingerprint = *fp;
   return m;
 }
 

@@ -7,29 +7,12 @@
 #include <functional>
 
 #include "src/common/assert.hpp"
+#include "src/common/rng.hpp"
 #include "src/workload/serving.hpp"
 
 namespace soc::sweep {
 
-std::uint64_t fnv1a(std::string_view text) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 namespace {
-
-/// splitmix64 finalizer: decorrelates the structured fnv/base-seed bits so
-/// neighboring cells get unrelated experiment seeds.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 template <typename... Args>
 std::string fmt(const char* f, Args... args) {
@@ -254,10 +237,11 @@ std::vector<SweepCell> SweepSpec::enumerate() const {
                   SOC_CHECK_MSG(serving.has_value(), "unknown serving preset");
                   c.serving = *serving;
                   // Content-derived seed: identical for this cell no matter
-                  // which process (or how many) runs the sweep.  Guard
+                  // which process (or how many) runs the sweep; one
+                  // splitmix64 step decorrelates neighboring cells.  Guard
                   // against 0 — some RNG seedings treat it specially.
                   const std::uint64_t seed =
-                      mix64(n.base_seed ^ fnv1a(cell.key));
+                      SplitMix64(n.base_seed ^ fnv1a(cell.key)).next();
                   c.seed = seed != 0 ? seed : 0x5eed5eed5eed5eedull;
                   const auto scenario = scenario_by_name(sc, c.duration, nodes);
                   SOC_CHECK_MSG(scenario.has_value(), "unknown scenario preset");

@@ -23,12 +23,10 @@
 #include <vector>
 
 #include "src/common/cli.hpp"
+#include "src/common/fnv.hpp"
 #include "src/core/experiment.hpp"
 
 namespace soc::sweep {
-
-/// FNV-1a 64-bit — the content hash behind cell seeds and shard ids.
-[[nodiscard]] std::uint64_t fnv1a(std::string_view text);
 
 /// One fully-addressed point of the grid: the built ExperimentConfig plus
 /// the canonical names the sharder/merger key on.

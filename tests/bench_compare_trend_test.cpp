@@ -172,10 +172,8 @@ TEST(CompareCore, LatencyBlockCannotShadowScalarFields) {
   ASSERT_EQ(r->experiments.size(), 2u);
   EXPECT_DOUBLE_EQ(r->experiments[0].events, 5000);
   EXPECT_DOUBLE_EQ(r->experiments[0].messages, 2500);
-  EXPECT_DOUBLE_EQ(r->experiments[0].slot_span_ratio, 1.25);
   // The second experiment (no latency block) is bounded correctly.
   EXPECT_DOUBLE_EQ(r->experiments[1].events, 4000);
-  EXPECT_DOUBLE_EQ(r->experiments[1].slot_span_ratio, 1.0);
 }
 
 }  // namespace

@@ -25,7 +25,6 @@
 // regenerate rather than debug.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -35,25 +34,11 @@
 #include <vector>
 
 #include "src/can/space.hpp"
+#include "src/common/fnv.hpp"
 #include "src/core/experiment.hpp"
 
 namespace soc {
 namespace {
-
-class Fnv64 {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffu;
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  void add_double(double d) { add(std::bit_cast<std::uint64_t>(d)); }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
 
 // Routes, next-hop choices and directional neighbor sets over a churned
 // 2-d space.  Pins the greedy tie-break chain (containment, box distance,
@@ -67,7 +52,7 @@ std::uint64_t route_fingerprint() {
     space.join(NodeId(next));
     live.push_back(NodeId(next++));
   }
-  Fnv64 h;
+  Fnv1a h;
   for (int step = 0; step < 300; ++step) {
     if (live.size() < 8 || rng.chance(0.55)) {
       space.join(NodeId(next));
@@ -82,14 +67,14 @@ std::uint64_t route_fingerprint() {
     if (step % 7 != 0) continue;
     const can::Point target{rng.uniform(), rng.uniform()};
     const NodeId start = space.random_member(rng);
-    h.add(start.value);
-    for (const NodeId hop : space.route(start, target)) h.add(hop.value);
+    h.u64(start.value);
+    for (const NodeId hop : space.route(start, target)) h.u64(hop.value);
     const NodeId sample = space.random_member(rng);
     for (std::size_t d = 0; d < 2; ++d) {
       for (const can::Direction dir :
            {can::Direction::kNegative, can::Direction::kPositive}) {
         for (const NodeId n : space.directional_neighbors(sample, d, dir)) {
-          h.add(n.value);
+          h.u64(n.value);
         }
       }
     }
@@ -108,27 +93,30 @@ core::ExperimentConfig small_config(core::ProtocolKind protocol) {
   return c;
 }
 
+// Its own field list on the shared hasher, not
+// ExperimentResults::fingerprint: the goldens checked in were hashed over
+// exactly these fields, and a wider list would move every one of them.
 std::uint64_t experiment_fingerprint(core::ProtocolKind protocol) {
   const core::ExperimentResults r = core::run_experiment(small_config(protocol));
-  Fnv64 h;
-  h.add(r.generated);
-  h.add(r.finished);
-  h.add(r.failed);
-  h.add(r.total_messages);
-  h.add(r.messages_delivered);
-  h.add(r.messages_lost);
-  h.add(r.events_executed);
-  h.add_double(r.t_ratio);
-  h.add_double(r.f_ratio);
-  h.add_double(r.fairness);
-  h.add_double(r.avg_query_delay_s);
+  Fnv1a h;
+  h.u64(r.generated);
+  h.u64(r.finished);
+  h.u64(r.failed);
+  h.u64(r.total_messages);
+  h.u64(r.messages_delivered);
+  h.u64(r.messages_lost);
+  h.u64(r.events_executed);
+  h.f64(r.t_ratio);
+  h.f64(r.f_ratio);
+  h.f64(r.fairness);
+  h.f64(r.avg_query_delay_s);
   for (const auto& s : r.series) {
-    h.add(s.generated);
-    h.add(s.finished);
-    h.add(s.failed);
-    h.add_double(s.t_ratio);
-    h.add_double(s.f_ratio);
-    h.add_double(s.fairness);
+    h.u64(s.generated);
+    h.u64(s.finished);
+    h.u64(s.failed);
+    h.f64(s.t_ratio);
+    h.f64(s.f_ratio);
+    h.f64(s.fairness);
   }
   return h.value();
 }

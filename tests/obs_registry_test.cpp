@@ -2,11 +2,11 @@
 // ordering, gauge evaluation, the deterministic flag — and the one that
 // matters most: hostile metric names round-trip through the REAL sweep
 // shard writer/reader without aliasing any schema key.  The shard file
-// stores samples as {"k": name, "v": value} pairs precisely so a metric
-// named "series", "key" or "generated" lives inside an escaped string
-// value and can never fool the bounded needle parser; this test feeds it
-// the worst names we could think of and checks the scalars, series and
-// metrics all survive.
+// stores samples as {"k": name, "v": value} pairs, so a metric named
+// "series", "key" or "generated" is an escaped string value, never a key
+// of the cell object; this test feeds the worst names we could think of
+// through the JSON codec and checks the scalars, series and metrics all
+// survive.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -133,7 +133,7 @@ TEST(ObsRegistry, HostileNamesRoundTripThroughShardFile) {
       {"v", 7.0, true},            {"t_ratio", 8.0, true},
       {"wall_seconds", 9.0, true}, {"spec_fingerprint", 10.0, true},
       // Bypassing Registry::sanitize on purpose: even raw quotes and
-      // backslashes must survive via json_mini::escape, not tear the file.
+      // backslashes must survive the writer's escaping, not tear the file.
       {"quote\"back\\slash", 11.0, true},
       {"bus.state-update.sent", 12345.0, true},
   };

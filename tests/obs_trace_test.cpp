@@ -1,45 +1,29 @@
 // obs::Tracer invariants — the three design constraints from trace.hpp:
 //
 //   1. Pure observer: a traced experiment takes the exact bit-trajectory
-//      of an untraced one.  Fingerprinted the same way as the golden
-//      tests (raw double bits included), across all three protocols and
-//      the churn scenario, so a tracer hook that draws RNG, schedules an
-//      event, or perturbs iteration order fails here before it can move
-//      a golden.
-//   2. The emitted trace is well-formed Chrome trace-event JSON — checked
-//      line-by-line with the same json_mini primitives the repo's other
-//      parsers use (no external JSON dependency).
+//      of an untraced one.  Compared by ExperimentResults::fingerprint
+//      (raw double bits, traffic, histograms and registry samples
+//      included), across all three protocols and the churn scenario, so
+//      a tracer hook that draws RNG, schedules an event, or perturbs
+//      iteration order fails here before it can move a golden.
+//   2. The emitted trace is well-formed Chrome trace-event JSON — the
+//      whole document and each event line parse with the repo's strict
+//      src/common/json codec (no external JSON dependency).
 //   3. Span accounting is sane: every completed task/query closes its
 //      async span, so 'e' events never outnumber 'b' events and at least
 //      one 'e' exists per finished task.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "src/common/json_mini.hpp"
+#include "src/common/json.hpp"
 #include "src/core/experiment.hpp"
 #include "src/obs/trace.hpp"
 
 namespace soc {
 namespace {
-
-class Fnv64 {
- public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xffu;
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  void add_double(double d) { add(std::bit_cast<std::uint64_t>(d)); }
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
 
 /// Same shape as the golden-trajectory config: small, churned, all
 /// leave/rehome/timeout paths exercised.
@@ -54,37 +38,6 @@ core::ExperimentConfig small_config(core::ProtocolKind protocol) {
   return c;
 }
 
-/// Full-results fingerprint: counters, raw double bits, the figure series,
-/// and every deterministic registry sample (names and value bits).
-std::uint64_t fingerprint(const core::ExperimentResults& r) {
-  Fnv64 h;
-  h.add(r.generated);
-  h.add(r.finished);
-  h.add(r.failed);
-  h.add(r.total_messages);
-  h.add(r.messages_delivered);
-  h.add(r.messages_lost);
-  h.add(r.events_executed);
-  h.add_double(r.t_ratio);
-  h.add_double(r.f_ratio);
-  h.add_double(r.fairness);
-  h.add_double(r.avg_query_delay_s);
-  for (const auto& s : r.series) {
-    h.add(s.generated);
-    h.add(s.finished);
-    h.add(s.failed);
-    h.add_double(s.t_ratio);
-    h.add_double(s.f_ratio);
-    h.add_double(s.fairness);
-  }
-  for (const auto& m : r.metrics) {
-    if (!m.deterministic) continue;  // RSS/time gauges: wall-clock regime
-    for (const char ch : m.name) h.add(static_cast<unsigned char>(ch));
-    h.add_double(m.value);
-  }
-  return h.value();
-}
-
 /// Run the scenario untraced, then traced, and require bit-identical
 /// results.  Returns the traced run's event counts for span accounting.
 struct TracedRun {
@@ -96,14 +49,14 @@ struct TracedRun {
 
 TracedRun expect_trace_transparent(core::ProtocolKind protocol) {
   const core::ExperimentConfig config = small_config(protocol);
-  const std::uint64_t off = fingerprint(core::run_experiment(config));
+  const std::uint64_t off = core::run_experiment(config).fingerprint();
 
   obs::Tracer tracer;
   obs::Tracer* prev = obs::install_tracer(&tracer);
   const core::ExperimentResults traced = core::run_experiment(config);
   obs::install_tracer(prev);
 
-  EXPECT_EQ(fingerprint(traced), off)
+  EXPECT_EQ(traced.fingerprint(), off)
       << "tracing perturbed the trajectory (protocol "
       << static_cast<int>(protocol) << ")";
   return TracedRun{traced.finished, tracer.count_ph('b'),
@@ -171,8 +124,12 @@ TEST(ObsTrace, JsonIsWellFormedLineByLine) {
   ASSERT_GE(json.size(), head.size() + tail.size());
   ASSERT_EQ(json.substr(json.size() - tail.size()), tail);
 
-  // One JSON object per line, ','-separated; each must expose its fields
-  // to the same bounded lookups every parser in this repo relies on.
+  // The whole document parses, one JSON object per line, ','-separated.
+  const auto doc = json::parse(json);
+  ASSERT_TRUE(doc.has_value());
+  const json::Value* events = doc->find("traceEvents");
+  ASSERT_TRUE(events != nullptr && events->array() != nullptr);
+  EXPECT_EQ(events->array()->size(), tracer.event_count() + 1);
   const std::string body =
       json.substr(head.size(), json.size() - head.size() - tail.size());
   std::size_t lines = 0;
@@ -183,24 +140,22 @@ TEST(ObsTrace, JsonIsWellFormedLineByLine) {
     std::string line = body.substr(start, nl - start);
     start = nl + 1;
     if (!line.empty() && line.back() == ',') line.pop_back();
-    ASSERT_FALSE(line.empty());
     ++lines;
-    ASSERT_EQ(line.front(), '{') << line;
-    ASSERT_EQ(line.back(), '}') << line;
-    const auto ph = json_mini::find_string(line, "ph", 0);
-    ASSERT_TRUE(ph.has_value()) << line;
-    ASSERT_EQ(ph->size(), 1u) << line;
-    ASSERT_TRUE(json_mini::find_number(line, "pid", 0).has_value()) << line;
-    if (*ph == "M") continue;  // process_name metadata: no timestamp
-    EXPECT_TRUE(json_mini::find_number(line, "ts", 0).has_value()) << line;
-    EXPECT_TRUE(json_mini::find_string(line, "cat", 0).has_value()) << line;
-    EXPECT_TRUE(json_mini::find_string(line, "name", 0).has_value()) << line;
-    if (*ph == "b" || *ph == "e" || *ph == "n") {
-      EXPECT_TRUE(json_mini::find_string(line, "id", 0).has_value()) << line;
+    const auto event = json::parse(line);
+    ASSERT_TRUE(event.has_value()) << line;
+    // Read each required field; Fields latches any missing or mistyped one.
+    json::Fields f(*event);
+    const std::string ph = f.str("ph");
+    ASSERT_EQ(ph.size(), 1u) << line;
+    f.u64("pid");
+    if (ph != "M") {  // process_name metadata: no timestamp
+      f.u64("ts");
+      f.str("cat");
+      f.str("name");
     }
-    if (*ph == "X") {
-      EXPECT_TRUE(json_mini::find_number(line, "dur", 0).has_value()) << line;
-    }
+    if (ph == "b" || ph == "e" || ph == "n") f.str("id");
+    if (ph == "X") f.u64("dur");
+    EXPECT_TRUE(f.ok()) << line;
   }
   // Every buffered event plus the one lane-metadata record made it out.
   EXPECT_EQ(lines, tracer.event_count() + 1);

@@ -142,28 +142,6 @@ std::string config_line(const core::ExperimentConfig& cfg) {
   return buf;
 }
 
-/// FNV-1a over end-of-run counters: the per-schedule trajectory
-/// fingerprint shown by --verbose (identical across replays by
-/// construction; a cheap way to demonstrate bit-identical replay).
-std::uint64_t fingerprint(const core::ExperimentResults& r) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  };
-  mix(r.generated);
-  mix(r.finished);
-  mix(r.failed);
-  mix(r.total_messages);
-  mix(r.messages_delivered);
-  mix(r.messages_lost);
-  mix(r.messages_partitioned);
-  mix(r.events_executed);
-  return h;
-}
-
 struct ScheduleOutcome {
   bool ok = true;
   std::uint64_t assertions = 0;
@@ -234,7 +212,7 @@ ScheduleOutcome run_schedule(std::uint64_t k, const FuzzOptions& opt) {
     }
     if (until == cfg.duration) break;
   }
-  out.fingerprint = fingerprint(ex.results());
+  out.fingerprint = ex.results().fingerprint();
   if (opt.verbose) {
     std::printf("schedule %3llu  %-70s fp=%016llx\n",
                 static_cast<unsigned long long>(k), config_line(cfg).c_str(),

@@ -676,11 +676,25 @@ TEST(SweepMerge, LatencyFoldsBucketWiseAcrossShardLayouts) {
   // And the written report carries the latency block.
   const std::string path = dir2.path() + "/merged.json";
   ASSERT_TRUE(write_merged_report(path, spec, *a));
-  const auto text = read_file(path);
-  ASSERT_TRUE(text.has_value());
-  EXPECT_NE(text->find("\"latency\": { \"first_result\":"), std::string::npos);
-  EXPECT_NE(text->find("\"p999_s\":"), std::string::npos);
-  EXPECT_NE(text->find("\"p99_ci95\":"), std::string::npos);
+  const auto doc = json::load(path);
+  ASSERT_TRUE(doc.has_value());
+  json::Fields report(*doc);
+  const json::Array& experiments = report.array("experiments");
+  ASSERT_EQ(experiments.size(), 1u);
+  const json::Value* latency = experiments[0].find("latency");
+  ASSERT_NE(latency, nullptr);
+  for (const char* block : {"first_result", "finish"}) {
+    const json::Value* v = latency->find(block);
+    ASSERT_NE(v, nullptr) << block;
+    json::Fields f(*v);
+    f.u64("n");
+    f.f64("p999_s");
+    f.f64("p99_ci95");
+    EXPECT_TRUE(f.ok()) << block;
+  }
+  json::Fields first(*latency->find("first_result"));
+  EXPECT_EQ(first.u64("n"), a->groups[0].latency_first_result.total());
+  EXPECT_EQ(first.f64("p99_ci95"), a->groups[0].latency_first_p99_ci95);
 }
 
 TEST(SweepMerge, GroupStatsMatchHandComputedCi) {
