@@ -26,10 +26,13 @@
 #                           # build-asan tree (never mixes with Release
 #                           # objects or the bench gate)
 #   scripts/ci.sh perfbench # builds the repository benchmark (perfbench/)
-#                           # against this tree and runs its figure-fig4
-#                           # workload (the sweep shard/merge path) for
-#                           # 5 s; fails unless the result line reports
-#                           # "correct": true and "failed": 0
+#                           # against this tree and runs two workloads
+#                           # for 5 s each: figure-fig4 (the sweep
+#                           # shard/merge path) and scale-20k (the >2000-
+#                           # node check path: event-queue integrity and
+#                           # the bus in-flight check on a ~250k-event
+#                           # queue); fails unless each result line
+#                           # reports "correct": true and "failed": 0
 #
 # Re-baseline bookkeeping: `cmake --build build --target archive_baseline`
 # copies bench/BENCH_baseline.json into bench/history/ (regen_goldens does
@@ -59,20 +62,23 @@ fi
 if [ "$lane" = "perfbench" ]; then
   cd "$root"
   mkdir -p .bench_build
-  out=.bench_build/ci-perfbench.out
-  status=0
-  python3 perfbench/run.py --workload figure-fig4 --seed 1 --seconds 5 \
-      --trace 0 > "$out" || status=$?
-  cat "$out"
-  [ "$status" -eq 0 ] || exit "$status"
-  exec python3 - "$out" <<'EOF'
+  for workload in figure-fig4 scale-20k; do
+    out=".bench_build/ci-perfbench-$workload.out"
+    status=0
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 5 \
+        --trace 0 > "$out" || status=$?
+    cat "$out"
+    [ "$status" -eq 0 ] || exit "$status"
+    python3 - "$out" "$workload" <<'EOF'
 import json, sys
 lines = open(sys.argv[1]).read().splitlines()
 result = json.loads(lines[-1]) if lines else {}
 ok = result.get("correct") is True and result.get("failed") == 0
-print("perfbench lane:", "OK" if ok else "FAILED", file=sys.stderr)
+print("perfbench lane:", sys.argv[2], "OK" if ok else "FAILED", file=sys.stderr)
 sys.exit(0 if ok else 1)
 EOF
+  done
+  exit 0
 fi
 
 cmake -B "$root/build" -S "$root" -DCMAKE_BUILD_TYPE=Release

@@ -11,6 +11,12 @@
 //
 // Move-only by design: closures own their captures exactly once, and the
 // event queue never needs to copy them.
+//
+// The buffer is 8-byte aligned (kAlign), not alignof(std::max_align_t):
+// every hot-path capture is pointers, ids and integers, and a 16-byte
+// alignment would round each slab slot holding an InlineFn up to the next
+// 16-byte quantum.  A callable that needs more alignment takes the heap
+// path like an oversized one; none in src/ does.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +35,14 @@ template <typename R, typename... Args, std::size_t InlineSize>
 class InlineFn<R(Args...), InlineSize> {
  public:
   static constexpr std::size_t kInlineSize = InlineSize;
+  static constexpr std::size_t kAlign = alignof(void*);
+
+  /// True when a callable of type D is stored in the buffer itself
+  /// (message_bus.cpp static_asserts it for its delivery record).
+  template <typename D>
+  static constexpr bool kStoresInline =
+      sizeof(D) <= kInlineSize && alignof(D) <= kAlign &&
+      std::is_nothrow_move_constructible_v<D>;
 
   InlineFn() = default;
   InlineFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
@@ -38,9 +52,7 @@ class InlineFn<R(Args...), InlineSize> {
              std::is_invocable_r_v<R, std::decay_t<F>&, Args...>)
   InlineFn(F&& f) {  // NOLINT(google-explicit-constructor)
     using D = std::decay_t<F>;
-    if constexpr (sizeof(D) <= kInlineSize &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
+    if constexpr (kStoresInline<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       ops_ = &kInlineOps<D>;
     } else {
@@ -128,7 +140,7 @@ class InlineFn<R(Args...), InlineSize> {
   static constexpr Ops kHeapOps{&invoke_heap<D>, &relocate_heap<D>,
                                 &destroy_heap<D>};
 
-  alignas(std::max_align_t) unsigned char buf_[kInlineSize];
+  alignas(kAlign) unsigned char buf_[kInlineSize];
   const Ops* ops_ = nullptr;
 };
 

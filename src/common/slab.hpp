@@ -1,17 +1,15 @@
 // Slab<T>: a growable arena of reusable slots with a free-slot stack.
 //
 // The simulator keeps short-lived per-operation state alive in bulk —
-// pending events, in-flight messages — and each subsystem used to
-// hand-roll the same pattern: a vector of slots, a free-list head threaded
-// through a spare field, and a high-water-mark accessor for the stress
-// tests.  Slab centralizes it.
+// pending events, every in-flight message among them — in a vector of
+// slots with a free list and a high-water-mark accessor for the stress
+// tests.  Slab is that pattern.
 //
 // The free list is a side stack of indices rather than a link threaded
-// through the slots: same LIFO reuse order as the hand-rolled intrusive
-// lists, but the slot array stays exactly sizeof(T) per entry (no link
-// field padding the hottest arenas — an EventQueue slot is
-// alignof(max_align_t)-aligned, so even 4 extra bytes would cost a full
-// alignment quantum of stride).
+// through the slots: the same LIFO reuse order as an intrusive list, but
+// the slot array stays exactly sizeof(T) per entry (no link field padding
+// the hottest arena — an EventQueue slot is 8-byte aligned and 88 bytes,
+// so 4 extra bytes would cost a full 8-byte quantum per pending event).
 //
 // Semantics:
 //   * alloc() pops the free stack or appends; a *fresh* slot's value is

@@ -162,7 +162,7 @@ void MessageBus::send(NodeId from, NodeId to, MsgType type, std::size_t bytes,
   if (from == to) {
     // Loopback: negligible but strictly positive delay for causality; never
     // touches the network, so partitions and link faults do not apply.
-    park_and_schedule(1, to, type, Fate::kDeliver, std::move(on_deliver));
+    schedule_delivery(1, to, type, Fate::kDeliver, std::move(on_deliver));
     return;
   }
   SimTime delay = topo_.transfer_delay(from, to, bytes, jitter_rng_);
@@ -170,7 +170,7 @@ void MessageBus::send(NodeId from, NodeId to, MsgType type, std::size_t bytes,
   if (partition_active() && in_partition_cut(from) != in_partition_cut(to)) {
     // Sealed at send time: the message is already on a link that just went
     // dark.  It is resolved (and accounted) at its would-be arrival.
-    park_and_schedule(delay, to, type, Fate::kPartitioned,
+    schedule_delivery(delay, to, type, Fate::kPartitioned,
                       std::move(on_deliver));
     return;
   }
@@ -195,7 +195,7 @@ void MessageBus::send(NodeId from, NodeId to, MsgType type, std::size_t bytes,
   }
 
   if (!duplicate) {
-    park_and_schedule(delay, to, type, fate, std::move(on_deliver));
+    schedule_delivery(delay, to, type, fate, std::move(on_deliver));
     return;
   }
   // Duplication: the copy is real traffic, billed as a second send so the
@@ -203,57 +203,51 @@ void MessageBus::send(NodeId from, NodeId to, MsgType type, std::size_t bytes,
   // move-only but repeatedly invocable); each arrival invokes it once.
   stats_.on_send(from, type, bytes);
   auto shared = std::make_shared<DeliverFn>(std::move(on_deliver));
-  park_and_schedule(delay, to, type, fate, DeliverFn([shared] {
+  schedule_delivery(delay, to, type, fate, DeliverFn([shared] {
                       if (*shared) (*shared)();
                     }));
-  park_and_schedule(dup_delay, to, type, fate, DeliverFn([shared] {
+  schedule_delivery(dup_delay, to, type, fate, DeliverFn([shared] {
                       if (*shared) (*shared)();
                     }));
 }
 
-void MessageBus::park_and_schedule(SimTime delay, NodeId to, MsgType type,
-                                   Fate fate, DeliverFn fn) {
-  // Park the callback in the slab and schedule a slot-sized closure.
-  const std::uint32_t slot = pending_.alloc();
-  Pending& p = pending_[slot];
-  p.fn = std::move(fn);
-  p.to = to;
-  p.type = type;
-  p.fate = fate;
-  sim_.schedule_after(delay, [this, slot] { deliver(slot); });
+void MessageBus::schedule_delivery(SimTime delay, NodeId to, MsgType type,
+                                   Fate fate, DeliverFn&& fn) {
+  // One event slot per in-flight message: EventFn's buffer is sized to the
+  // delivery record, so a field added here must grow both together rather
+  // than silently cost one heap allocation per message.
+  static_assert(sim::EventFn::kStoresInline<Delivery> &&
+                    sizeof(Delivery) == sim::EventFn::kInlineSize,
+                "a delivery record must fill exactly one event slot");
+  ++in_flight_;
+  sim_.schedule_after(delay, Delivery{this, to, type, fate, std::move(fn)});
 }
 
-void MessageBus::deliver(std::uint32_t slot) {
-  Pending& p = pending_[slot];
-  DeliverFn fn = std::move(p.fn);
-  const NodeId to = p.to;
-  const MsgType type = p.type;
-  const Fate fate = p.fate;
-  // Free the slot before invoking: the callback may send more messages.
-  pending_.release(slot);
+void MessageBus::Delivery::operator()() {
+  --bus->in_flight_;
+  TrafficStats& stats = bus->stats_;
   if (fate == Fate::kPartitioned) {
-    stats_.on_partitioned(type);  // swallowed by the cut
+    stats.on_partitioned(type);  // swallowed by the cut
     return;
   }
   if (fate == Fate::kLost) {
-    stats_.on_lost(type);  // burst loss on the link
+    stats.on_lost(type);  // burst loss on the link
     return;
   }
-  if (is_alive_ && !is_alive_(to)) {
-    stats_.on_lost(type);  // message lost to churn
+  if (bus->is_alive_ && !bus->is_alive_(to)) {
+    stats.on_lost(type);  // message lost to churn
     return;
   }
-  stats_.on_delivered(type);
-  if (fn) {
-    if (profiler_ != nullptr) {
-      const std::uint64_t t0 = obs::wall_now_ns();
-      fn();
-      profiler_->record_ns(static_cast<std::size_t>(type),
-                           obs::wall_now_ns() - t0);
-      return;
-    }
+  stats.on_delivered(type);
+  if (!fn) return;
+  if (obs::TimeProfiler* profiler = bus->profiler_) {
+    const std::uint64_t t0 = obs::wall_now_ns();
     fn();
+    profiler->record_ns(static_cast<std::size_t>(type),
+                        obs::wall_now_ns() - t0);
+    return;
   }
+  fn();
 }
 
 }  // namespace soc::net

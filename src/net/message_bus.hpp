@@ -12,7 +12,6 @@
 
 #include "src/common/inline_fn.hpp"
 #include "src/common/rng.hpp"
-#include "src/common/slab.hpp"
 #include "src/common/types.hpp"
 #include "src/net/link_model.hpp"
 #include "src/net/topology.hpp"
@@ -101,10 +100,11 @@ class TrafficStats {
 /// consulted at delivery time so messages to churned-out hosts are lost,
 /// like UDP datagrams to a dead peer.
 ///
-/// In-flight messages live in a shared Slab<T> arena: send() parks the
-/// callback there and schedules a 16-byte closure, so the per message cost
-/// is zero heap allocations (small captures stay inside the InlineFn
-/// buffer; the slab reuses slots as messages arrive).
+/// Each in-flight message is one event: send() schedules a 72-byte delivery
+/// record (destination, type, sealed fate and the callback) straight into
+/// the event queue, where it sits inline in one event slot.  The per
+/// message cost is zero heap allocations (small captures stay inside the
+/// InlineFn buffer; the queue's slab reuses slots as messages arrive).
 class MessageBus {
  public:
   MessageBus(sim::Simulator& sim, const Topology& topo);
@@ -144,14 +144,9 @@ class MessageBus {
   [[nodiscard]] TrafficStats& stats() { return stats_; }
   [[nodiscard]] const TrafficStats& stats() const { return stats_; }
 
-  /// Messages sent but not yet arrived (slab occupancy, for tests).
-  [[nodiscard]] std::size_t in_flight() const { return pending_.live(); }
-
-  /// Bytes claimed by the in-flight slab's high-water mark
-  /// (attribution-profiler hook).
-  [[nodiscard]] std::size_t mem_bytes() const {
-    return pending_.slots() * sizeof(Pending);
-  }
+  /// Messages sent but not yet resolved at their arrival time; the
+  /// invariant checker holds it equal to stats().total_in_flight().
+  [[nodiscard]] std::size_t in_flight() const { return in_flight_; }
 
   /// Attach (or with nullptr detach) a handler wall-time profiler: each
   /// delivered message's handler execution is timed and recorded into
@@ -173,23 +168,26 @@ class MessageBus {
   /// resolved when the message reaches its would-be arrival time.
   enum class Fate : std::uint8_t { kDeliver, kLost, kPartitioned };
 
-  struct Pending {
-    DeliverFn fn;
+  /// One in-flight message, scheduled as the event that resolves it.
+  struct Delivery {
+    MessageBus* bus;
     NodeId to;
-    MsgType type = MsgType::kCount;
-    Fate fate = Fate::kDeliver;
+    MsgType type;
+    Fate fate;
+    DeliverFn fn;
+
+    void operator()();
   };
 
-  void deliver(std::uint32_t slot);
-  void park_and_schedule(SimTime delay, NodeId to, MsgType type, Fate fate,
-                         DeliverFn fn);
+  void schedule_delivery(SimTime delay, NodeId to, MsgType type, Fate fate,
+                         DeliverFn&& fn);
 
   sim::Simulator& sim_;
   const Topology& topo_;
   Rng jitter_rng_;
   TrafficStats stats_;
   std::function<bool(NodeId)> is_alive_;
-  Slab<Pending> pending_;
+  std::size_t in_flight_ = 0;
   std::unique_ptr<LinkModel> link_model_;  ///< null unless faults enabled
   std::vector<std::size_t> cut_lans_;      ///< sorted; empty = no partition
   obs::TimeProfiler* profiler_ = nullptr;  ///< null unless a report asks

@@ -9,59 +9,57 @@ namespace {
 constexpr std::size_t kArity = 4;
 }
 
-std::uint32_t EventQueue::alloc_slot() {
-  const std::uint32_t idx = slots_.alloc();
-  ++slots_[idx].gen;  // even (free / fresh) -> odd (live)
-  return idx;
-}
-
 void EventQueue::free_slot(std::uint32_t idx) {
   Slot& s = slots_[idx];
   s.fn.reset();  // release captures immediately, not at slot reuse
-  ++s.gen;       // odd (live) -> even (free); stale handles now mismatch
+  ++s.gen;  // odd (live) -> even (free); stale handles and entries mismatch
   slots_.release(idx);
 }
 
-EventHandle EventQueue::push(SimTime at, EventFn fn) {
+EventHandle EventQueue::push(SimTime at, EventFn&& fn) {
   SOC_CHECK_MSG(static_cast<bool>(fn), "null event callback");
-  const std::uint32_t idx = alloc_slot();
-  slots_[idx].fn = std::move(fn);
+  const std::uint32_t idx = slots_.alloc();
+  Slot& s = slots_[idx];
+  const std::uint32_t gen = ++s.gen;  // even (free / fresh) -> odd (live)
+  s.fn = std::move(fn);
   heap_.emplace_back();  // room for the sifted-in entry
-  sift_up(heap_.size() - 1, Entry{at, next_seq_++, idx});
-  return EventHandle{idx, slots_[idx].gen};
+  sift_up(heap_.size() - 1, Entry{at, next_seq_++, idx, gen});
+  return EventHandle{idx, gen};
 }
 
 bool EventQueue::cancel(EventHandle h) {
   if (!h.valid() || h.slot >= slots_.slots()) return false;
-  Slot& s = slots_[h.slot];
-  if (s.gen != h.gen) return false;  // executed, cancelled, or recycled
-  heap_remove(s.heap_pos);
-  free_slot(h.slot);
+  if (slots_[h.slot].gen != h.gen) return false;  // executed/cancelled/reused
+  free_slot(h.slot);  // its heap entry is now a tombstone
+  settle();
   return true;
 }
 
 EventQueue::Popped EventQueue::pop() {
   SOC_CHECK_MSG(!heap_.empty(), "pop() on empty event queue");
-  const std::uint32_t idx = heap_[0].slot;
+  const std::uint32_t idx = heap_[0].slot;  // settle() keeps the top live
   Popped out{heap_[0].at, std::move(slots_[idx].fn)};
-  heap_remove(0);
   free_slot(idx);
+  pop_top();
+  settle();
   return out;
 }
 
-void EventQueue::heap_remove(std::uint32_t pos) {
-  const std::size_t last = heap_.size() - 1;
-  if (pos == last) {
-    heap_.pop_back();
-    return;
-  }
-  const Entry moved = heap_[last];
+void EventQueue::pop_top() {
+  const Entry last = heap_.back();
   heap_.pop_back();
-  // The moved-in entry may violate the invariant in either direction.
-  if (pos > 0 && moved.before(heap_[(pos - 1) / kArity])) {
-    sift_up(pos, moved);
-  } else {
-    sift_down(pos, moved);
+  if (!heap_.empty()) sift_down(0, last);
+}
+
+void EventQueue::settle() {
+  while (!heap_.empty() && !live(heap_[0])) pop_top();
+  if (tombstones() <= std::max(kMinTombstones, slots_.live() / 2)) return;
+  // Rebuild without tombstones: drop them, then heapify bottom-up.  Any
+  // valid heap over the same unique (at, seq) keys pops in the same order.
+  std::erase_if(heap_, [this](const Entry& e) { return !live(e); });
+  if (heap_.size() < 2) return;
+  for (std::size_t i = (heap_.size() - 2) / kArity + 1; i-- > 0;) {
+    sift_down(i, heap_[i]);
   }
 }
 
@@ -70,27 +68,9 @@ void EventQueue::sift_up(std::size_t pos, Entry e) {
     const std::size_t parent = (pos - 1) / kArity;
     if (!e.before(heap_[parent])) break;
     heap_[pos] = heap_[parent];
-    slots_[heap_[pos].slot].heap_pos = static_cast<std::uint32_t>(pos);
     pos = parent;
   }
   heap_[pos] = e;
-  slots_[e.slot].heap_pos = static_cast<std::uint32_t>(pos);
-}
-
-bool EventQueue::verify_integrity() const {
-  if (slots_.live() != heap_.size()) return false;
-  std::vector<bool> seen(slots_.slots(), false);
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    const Entry& e = heap_[i];
-    if (e.slot >= slots_.slots()) return false;
-    if (seen[e.slot]) return false;  // one slot referenced twice
-    seen[e.slot] = true;
-    const Slot& s = slots_[e.slot];
-    if ((s.gen & 1u) == 0) return false;  // heap points at a freed slot
-    if (s.heap_pos != i) return false;    // stale back-pointer
-    if (i > 0 && e.before(heap_[(i - 1) / kArity])) return false;
-  }
-  return true;
 }
 
 void EventQueue::sift_down(std::size_t pos, Entry e) {
@@ -105,11 +85,35 @@ void EventQueue::sift_down(std::size_t pos, Entry e) {
     }
     if (!heap_[best].before(e)) break;
     heap_[pos] = heap_[best];
-    slots_[heap_[pos].slot].heap_pos = static_cast<std::uint32_t>(pos);
     pos = best;
   }
   heap_[pos] = e;
-  slots_[e.slot].heap_pos = static_cast<std::uint32_t>(pos);
+}
+
+bool EventQueue::verify_integrity() const {
+  const std::size_t live_count = slots_.live();
+  if (heap_.size() < live_count) return false;
+  if (tombstones() > std::max(kMinTombstones, live_count / 2)) return false;
+  std::vector<bool> seen(slots_.slots(), false);
+  std::size_t referenced = 0;
+  for (std::size_t i = 0; i < heap_.size(); ++i) {
+    const Entry& e = heap_[i];
+    if (e.slot >= slots_.slots()) return false;
+    if ((e.gen & 1u) == 0) return false;  // entries carry live generations
+    if (i > 0 && e.before(heap_[(i - 1) / kArity])) return false;
+    if (!live(e)) {
+      if (i == 0) return false;  // a tombstone on top hides next_time()
+      continue;
+    }
+    if (seen[e.slot]) return false;  // one live slot referenced twice
+    seen[e.slot] = true;
+    ++referenced;
+  }
+  // Every live slot is referenced (none leaked) and the slab's live count
+  // matches the odd-generation slots (none double-freed).
+  std::size_t odd = 0;
+  for (std::uint32_t i = 0; i < slots_.slots(); ++i) odd += slots_[i].gen & 1u;
+  return referenced == live_count && odd == live_count;
 }
 
 }  // namespace soc::sim

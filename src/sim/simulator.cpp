@@ -26,13 +26,13 @@ struct ScopedLogTime {
 
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
 
-EventHandle Simulator::schedule_at(SimTime at, EventFn fn) {
+EventHandle Simulator::schedule_at(SimTime at, EventFn&& fn) {
   SOC_CHECK_MSG(at >= now_, "cannot schedule into the past");
   SOC_CHECK_MSG(at < kSimTimeNever, "cannot schedule at kSimTimeNever");
   return queue_.push(at, std::move(fn));
 }
 
-EventHandle Simulator::schedule_after(SimTime delay, EventFn fn) {
+EventHandle Simulator::schedule_after(SimTime delay, EventFn&& fn) {
   SOC_CHECK(delay >= 0);
   SOC_CHECK_MSG(delay < kSimTimeNever - now_, "delay overflows SimTime");
   return schedule_at(now_ + delay, std::move(fn));
@@ -40,17 +40,16 @@ EventHandle Simulator::schedule_after(SimTime delay, EventFn fn) {
 
 bool Simulator::cancel(EventHandle h) { return queue_.cancel(h); }
 
-// Periodic processes reschedule themselves; the shared state lets the
-// caller's returned handle cancel whichever firing is currently queued.
-// Each firing's closure captures only the shared_ptr (16 bytes), so the
-// whole chain stays inside the event-queue slab — no per-firing allocation.
+// Periodic processes reschedule themselves, so only the first firing's
+// handle reaches the caller (see schedule_periodic in simulator.hpp).  Each
+// firing's closure captures only the shared_ptr (16 bytes), so the whole
+// chain stays inside the event-queue slab — no per-firing allocation.
 struct Simulator::PeriodicState {
   Simulator* sim;
   SimTime period;
   std::function<bool()> fn;
   double jitter;
   Rng jitter_rng;
-  EventHandle current;
 };
 
 void Simulator::fire_periodic(std::shared_ptr<PeriodicState> state) {
@@ -62,8 +61,7 @@ void Simulator::fire_periodic(std::shared_ptr<PeriodicState> state) {
     delay = static_cast<SimTime>(static_cast<double>(delay) * f);
     if (delay < 1) delay = 1;
   }
-  PeriodicState* s = state.get();
-  s->current = schedule_after(delay, [st = std::move(state)]() mutable {
+  schedule_after(delay, [st = std::move(state)]() mutable {
     st->sim->fire_periodic(std::move(st));
   });
 }
@@ -75,15 +73,12 @@ EventHandle Simulator::schedule_periodic(SimTime period,
   SOC_CHECK(jitter >= 0.0 && jitter < 1.0);
   auto state = std::make_shared<PeriodicState>(
       PeriodicState{this, period, std::move(fn), jitter,
-                    rng_.fork("periodic-jitter").fork(queue_.size()),
-                    EventHandle{}});
+                    rng_.fork("periodic-jitter").fork(queue_.size())});
 
   const SimTime first = phase >= 0 ? phase : period;
-  PeriodicState* s = state.get();
-  s->current = schedule_after(first, [st = std::move(state)]() mutable {
+  return schedule_after(first, [st = std::move(state)]() mutable {
     st->sim->fire_periodic(std::move(st));
   });
-  return s->current;
 }
 
 std::uint64_t Simulator::run_until(SimTime until) {

@@ -25,15 +25,18 @@ class Simulator {
   /// Schedule fn at absolute time `at`.  Checked: `at` must be >= now and
   /// strictly before kSimTimeNever (the "no pending event" sentinel must
   /// never appear as a real event time).
-  EventHandle schedule_at(SimTime at, EventFn fn);
+  EventHandle schedule_at(SimTime at, EventFn&& fn);
   /// Schedule fn after a non-negative delay.
-  EventHandle schedule_after(SimTime delay, EventFn fn);
+  EventHandle schedule_after(SimTime delay, EventFn&& fn);
   bool cancel(EventHandle h);
 
   /// Schedule fn every `period`, first firing after `phase` (defaults to a
   /// full period).  The callback may return false to stop the series.
   /// Jitter (fraction of the period, drawn per firing) desynchronizes the
   /// thousands of per-node maintenance loops like a real deployment.
+  /// The returned handle is the *first* firing's: cancelling it before
+  /// that firing stops the series; once it has fired, cancel() returns
+  /// false and the series runs on until the callback returns false.
   EventHandle schedule_periodic(SimTime period, std::function<bool()> fn,
                                 SimTime phase = -1, double jitter = 0.0);
 

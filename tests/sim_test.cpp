@@ -60,11 +60,11 @@ TEST(EventQueue, StaleHandleToRecycledSlotIsRejected) {
   EXPECT_TRUE(q.cancel(h2));
 }
 
-// The old design's failure mode: lazily-cancelled events lingered in the
-// heap as tombstones, so a schedule-heavy/cancel-heavy workload (timeouts!)
-// grew memory without bound.  With in-place removal, one million
+// A schedule-heavy/cancel-heavy workload (timeouts!) must not grow memory:
+// cancel() frees the slot and its captures at once, and the tombstone heap
+// entries it leaves are bounded by the rebuild rule.  One million
 // schedule+cancel cycles must leave both the live count and the slab
-// high-water mark at baseline.
+// high-water mark at baseline, with the queue's integrity intact.
 TEST(EventQueue, CancelledEventsReleaseSlabMemory) {
   EventQueue q;
   const EventHandle keeper = q.push(1'000'000'000, [] {});
@@ -85,8 +85,28 @@ TEST(EventQueue, CancelledEventsReleaseSlabMemory) {
   // events, not the ~1M total scheduled.
   EXPECT_LE(q.slab_slots(), kBatch + 1);
   EXPECT_EQ(q.next_time(), 1'000'000'000);
+  EXPECT_TRUE(q.verify_integrity());
   EXPECT_TRUE(q.cancel(keeper));
   EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(q.verify_integrity());
+}
+
+// Cancelling a buried (non-top) event leaves a tombstone in the heap, but
+// the live count drops at once and the earliest time does not move.
+TEST(EventQueue, CancelBuriedEventUpdatesSizeAtOnce) {
+  EventQueue q;
+  q.push(10, [] {});
+  const EventHandle buried = q.push(50, [] {});
+  q.push(90, [] {});
+  ASSERT_EQ(q.size(), 3u);
+  EXPECT_TRUE(q.cancel(buried));
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.next_time(), 10);
+  EXPECT_TRUE(q.verify_integrity());
+  q.pop();
+  EXPECT_EQ(q.next_time(), 90);  // the tombstone is skimmed, never popped
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_TRUE(q.verify_integrity());
 }
 
 // Same property through the Simulator's periodic API: a periodic process
@@ -105,6 +125,62 @@ TEST(Simulator, CancelledPeriodicsReleaseSlabMemory) {
   sim.run_all();
   EXPECT_EQ(fired, 0u);
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// schedule_periodic seeds its jitter stream from the live event count, so
+// a cancelled event must stop counting at once: a periodic issued after the
+// cancel fires at the same jittered times as in a simulator that never
+// scheduled the cancelled event.
+TEST(Simulator, CancelledEventDoesNotShiftPeriodicJitter) {
+  auto firings = [](bool with_cancelled) {
+    Simulator sim(31);
+    sim.schedule_at(seconds(1), [] {});
+    if (with_cancelled) {
+      const EventHandle buried = sim.schedule_at(seconds(50), [] {});
+      EXPECT_TRUE(sim.cancel(buried));
+    }
+    sim.schedule_at(seconds(90), [] {});
+    std::vector<SimTime> at;
+    sim.schedule_periodic(
+        seconds(100),
+        [&] {
+          at.push_back(sim.now());
+          return at.size() < 20;
+        },
+        seconds(100), /*jitter=*/0.3);
+    sim.run_all();
+    return at;
+  };
+  const std::vector<SimTime> reference = firings(false);
+  ASSERT_EQ(reference.size(), 20u);
+  EXPECT_EQ(firings(true), reference);
+}
+
+// The handle schedule_periodic returns is the first firing's: cancelling
+// it before that firing stops the series; afterwards cancel() reports
+// false and the series keeps running.
+TEST(Simulator, PeriodicHandleCancelsOnlyBeforeFirstFiring) {
+  Simulator sim;
+  int early = 0;
+  const EventHandle before = sim.schedule_periodic(seconds(10), [&] {
+    ++early;
+    return true;
+  });
+  EXPECT_TRUE(sim.cancel(before));
+  sim.run_until(seconds(100));
+  EXPECT_EQ(early, 0);
+  EXPECT_EQ(sim.pending_events(), 0u);
+
+  int late = 0;
+  const EventHandle after = sim.schedule_periodic(seconds(10), [&] {
+    ++late;
+    return late < 5;
+  });
+  sim.run_until(sim.now() + seconds(15));
+  ASSERT_EQ(late, 1);
+  EXPECT_FALSE(sim.cancel(after));
+  sim.run_all();
+  EXPECT_EQ(late, 5);
 }
 
 TEST(Simulator, ClockAdvancesWithEvents) {
