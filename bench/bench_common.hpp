@@ -17,7 +17,8 @@
 #include <vector>
 
 #include "src/common/json.hpp"
-#include "src/core/soc.hpp"
+#include "src/common/cli.hpp"
+#include "src/core/experiment.hpp"
 #include "src/obs/profiler.hpp"
 #include "src/obs/registry.hpp"
 

@@ -9,8 +9,18 @@
 #include <algorithm>
 #include <chrono>
 
-#include "src/core/soc.hpp"
+#include "src/can/space.hpp"
+#include "src/index/index_table.hpp"
+#include "src/index/inscan.hpp"
+#include "src/index/record.hpp"
+#include "src/net/message_bus.hpp"
+#include "src/net/topology.hpp"
 #include "src/obs/trace.hpp"
+#include "src/psm/scheduler.hpp"
+#include "src/psm/task.hpp"
+#include "src/query/query_engine.hpp"
+#include "src/sim/event_queue.hpp"
+#include "src/sim/simulator.hpp"
 
 namespace {
 

@@ -47,13 +47,7 @@ int main(int argc, char** argv) {
   for (const ProtocolKind p : protocols) {
     core::ExperimentConfig c = opt.base_config();
     c.protocol = p;
-    if (!trace_path.empty()) {
-      // set_lane stores the pointer, so the name must outlive the tracer.
-      const char* lane_name = p == ProtocolKind::kHidCan    ? "HID-CAN"
-                              : p == ProtocolKind::kNewscast ? "Newscast"
-                                                             : "KHDN-CAN";
-      tracer.set_lane(lane++, lane_name);
-    }
+    if (!trace_path.empty()) tracer.set_lane(lane++, core::protocol_name(p));
     obs::TimeProfiler profiler(static_cast<std::size_t>(net::MsgType::kCount));
     const PerfSample s =
         timed_run(c, profile_handlers ? &profiler : nullptr);

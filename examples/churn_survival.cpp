@@ -6,7 +6,9 @@
 //   ./example_churn_survival [--nodes 256] [--hours 4]
 #include <cstdio>
 
-#include "src/core/soc.hpp"
+#include "src/common/cli.hpp"
+#include "src/core/experiment.hpp"
+#include "src/core/pidcan_protocol.hpp"
 
 int main(int argc, char** argv) {
   using namespace soc;

@@ -6,7 +6,8 @@
 //   ./example_fault_tolerant_cloud [--nodes 256] [--hours 4] [--churn 0.75]
 #include <cstdio>
 
-#include "src/core/soc.hpp"
+#include "src/common/cli.hpp"
+#include "src/core/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace soc;

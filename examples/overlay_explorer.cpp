@@ -8,7 +8,14 @@
 #include <cstdio>
 #include <unordered_map>
 
-#include "src/core/soc.hpp"
+#include "src/can/ascii_art.hpp"
+#include "src/can/space.hpp"
+#include "src/common/cli.hpp"
+#include "src/index/inscan.hpp"
+#include "src/net/message_bus.hpp"
+#include "src/net/topology.hpp"
+#include "src/query/query_engine.hpp"
+#include "src/sim/simulator.hpp"
 
 int main(int argc, char** argv) {
   using namespace soc;
@@ -97,7 +104,7 @@ int main(int argc, char** argv) {
   };
   const std::uint64_t before = query_traffic();
   engine.submit_k(ids[1], demand, corner, 1,
-                  [&](std::vector<query::Candidate> found) {
+                  [&](std::vector<Discovered> found) {
                     if (found.empty()) {
                       std::printf("   PID-CAN query: no match\n");
                     } else {
@@ -112,7 +119,7 @@ int main(int argc, char** argv) {
 
   const std::uint64_t before_full = query_traffic();
   engine.submit_full_range(ids[1], demand, corner,
-                           [&](std::vector<query::Candidate> found) {
+                           [&](std::vector<Discovered> found) {
                              std::printf("   INSCAN-RQ flood: %zu qualified "
                                          "records in the whole range\n",
                                          found.size());

@@ -8,7 +8,8 @@
 //   ./example_protocol_faceoff [--nodes 384] [--lambda 0.5] [--hours 6]
 #include <cstdio>
 
-#include "src/core/soc.hpp"
+#include "src/common/cli.hpp"
+#include "src/core/experiment.hpp"
 
 int main(int argc, char** argv) {
   using namespace soc;

@@ -2,33 +2,27 @@
 // protocol and print the paper's headline metrics.
 //
 //   ./example_quickstart [--nodes 256] [--lambda 0.5] [--hours 6]
-//                        [--protocol hid|sid|hid-sos|sid-sos|sid-vd|newscast|khdn]
+//                        [--protocol hid-can|sid-can|hid-can+sos|sid-can+sos|
+//                                    sid-can+vd|newscast|khdn-can]
 //                        [--seed 1]
 #include <cstdio>
 #include <string>
 
-#include "src/core/soc.hpp"
-
-namespace {
-
-soc::core::ProtocolKind parse_protocol(const std::string& s) {
-  using soc::core::ProtocolKind;
-  if (s == "sid") return ProtocolKind::kSidCan;
-  if (s == "hid-sos") return ProtocolKind::kHidCanSos;
-  if (s == "sid-sos") return ProtocolKind::kSidCanSos;
-  if (s == "sid-vd") return ProtocolKind::kSidCanVd;
-  if (s == "newscast") return ProtocolKind::kNewscast;
-  if (s == "khdn") return ProtocolKind::kKhdnCan;
-  return ProtocolKind::kHidCan;
-}
-
-}  // namespace
+#include "src/common/cli.hpp"
+#include "src/core/experiment.hpp"
 
 int main(int argc, char** argv) {
   const soc::CliArgs args(argc, argv);
 
   soc::core::ExperimentConfig config;
-  config.protocol = parse_protocol(args.get("protocol", "hid"));
+  const std::string name = args.get("protocol", "hid-can");
+  const auto protocol = soc::core::protocol_from_name(name);
+  if (!protocol.has_value()) {
+    std::fprintf(stderr, "example_quickstart: unknown protocol '%s'\n",
+                 name.c_str());
+    return 2;
+  }
+  config.protocol = *protocol;
   config.nodes = static_cast<std::size_t>(args.get_int("nodes", 256));
   config.demand_ratio = args.get_double("lambda", 0.5);
   config.duration = soc::seconds(args.get_double("hours", 6.0) * 3600.0);

@@ -25,6 +25,10 @@
 #   scripts/ci.sh asan      # unit lane under ASan+UBSan in a separate
 #                           # build-asan tree (never mixes with Release
 #                           # objects or the bench gate)
+#   scripts/ci.sh loc       # the line metric ROADMAP tracks: lines of
+#                           # *.cpp/*.hpp under src/, bench/ and tools/
+#                           # that are neither blank nor start with //,
+#                           # per directory and in total (no build)
 #   scripts/ci.sh perfbench # builds the repository benchmark (perfbench/)
 #                           # against this tree and runs two workloads
 #                           # for 5 s each: figure-fig4 (the sweep
@@ -54,6 +58,19 @@ if [ "$lane" = "asan" ]; then
   cmake --build "$root/build-asan" -j
   cd "$root/build-asan"
   exec ctest -L unit --output-on-failure -j8
+fi
+
+if [ "$lane" = "loc" ]; then
+  cd "$root"
+  total=0
+  for dir in src bench tools; do
+    n=$(find "$dir" -name '*.cpp' -o -name '*.hpp' | sort | xargs cat |
+        grep -c -v -e '^[[:space:]]*$' -e '^[[:space:]]*//')
+    printf '%-6s %6d\n' "$dir" "$n"
+    total=$((total + n))
+  done
+  printf '%-6s %6d\n' total "$total"
+  exit 0
 fi
 
 # The perfbench lane builds through the benchmark's own runner (into
@@ -114,7 +131,7 @@ case "$lane" in
     ctest -C nightly --output-on-failure -j8
     ;;
   *)
-    echo "usage: scripts/ci.sh [unit|sweep|figures|obs|serving|scale|full|nightly|asan|perfbench]" >&2
+    echo "usage: scripts/ci.sh [unit|sweep|figures|obs|serving|scale|full|nightly|asan|loc|perfbench]" >&2
     exit 2
     ;;
 esac

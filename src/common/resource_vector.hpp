@@ -16,6 +16,7 @@
 #include <string>
 
 #include "src/common/assert.hpp"
+#include "src/common/types.hpp"
 
 namespace soc {
 
@@ -178,5 +179,12 @@ class ResourceVector {
 double best_fit_slack(const ResourceVector& availability,
                       const ResourceVector& demand,
                       const ResourceVector& capacity_scale);
+
+/// One query result, whatever the protocol: a provider and the
+/// availability it last advertised (possibly stale by the record TTL).
+struct Discovered {
+  NodeId provider;
+  ResourceVector availability;
+};
 
 }  // namespace soc

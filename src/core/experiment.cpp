@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "src/common/fnv.hpp"
-#include "src/common/logging.hpp"
 #include "src/core/khdn_protocol.hpp"
 #include "src/obs/profiler.hpp"
 #include "src/obs/trace.hpp"
@@ -60,12 +59,13 @@ struct Experiment::TaskRun {
   psm::TaskSpec spec;
   std::size_t attempts = 0;       // query attempts so far
   std::size_t dispatches = 0;     // dispatch attempts so far
+  std::size_t awaiting = 0;       // dispatch awaiting its verdict (0: none)
   bool settled = false;           // placed or failed (guards timeouts)
   bool is_restart = false;        // checkpoint re-entry, not a fresh submit
   bool first_result_seen = false; // first-result latency already recorded
+  bool client = false;            // closed-loop client: wake it when done
   std::unordered_set<NodeId> tried;  // providers that already rejected us
   std::vector<Discovered> backlog;   // untried candidates from the last query
-  std::function<void()> on_complete;  // closed-loop client wakeup (nullable)
 };
 
 namespace {
@@ -78,6 +78,14 @@ std::uint64_t latency_us(SimTime submit, SimTime now) {
 /// Never pointer-derived — trace ids must be bit-deterministic per seed.
 std::uint64_t trace_id(TaskId id) {
   return (static_cast<std::uint64_t>(id.origin.value) << 32) | id.seq;
+}
+
+/// Close a task's span on any terminal failure.
+void trace_failed(TaskId id, SimTime now) {
+  if (obs::Tracer* t = obs::tracer()) {
+    t->mark("task", "failed", trace_id(id), now);
+    t->end("task", "task", trace_id(id), now);
+  }
 }
 }  // namespace
 
@@ -462,16 +470,15 @@ void Experiment::schedule_client_issue(NodeId id) {
   if (sim_.now() + delay > config_.duration) return;
   sim_.schedule_after(delay, [this, id] {
     if (!hosts_.alive(id)) return;
-    submit_task_internal(id, [this, id] { schedule_client_issue(id); });
+    submit_task_internal(id, /*client=*/true);
   });
 }
 
 void Experiment::submit_task(NodeId origin) {
-  submit_task_internal(origin, {});
+  submit_task_internal(origin, /*client=*/false);
 }
 
-void Experiment::submit_task_internal(NodeId origin,
-                                      std::function<void()> on_complete) {
+void Experiment::submit_task_internal(NodeId origin, bool client) {
   drain_cold_reap();
   psm::TaskSpec spec =
       task_gen_.generate(origin, hosts_.bump_seq(origin), sim_.now(), rng_);
@@ -482,7 +489,7 @@ void Experiment::submit_task_internal(NodeId origin,
   }
   auto run = std::make_shared<TaskRun>();
   run->spec = spec;
-  run->on_complete = std::move(on_complete);
+  run->client = client;
   begin_query(run);
 }
 
@@ -562,24 +569,28 @@ void Experiment::on_candidates(const std::shared_ptr<TaskRun>& run,
 
 void Experiment::dispatch(const std::shared_ptr<TaskRun>& run,
                           NodeId provider) {
-  ++run->dispatches;
+  // Each query callback fires exactly once and only the first of a
+  // dispatch's timeout and verdict continues the chain, so at most one
+  // dispatch per task awaits its verdict.
+  SOC_DCHECK(run->awaiting == 0);
+  const std::size_t seq = ++run->dispatches;
+  run->awaiting = seq;
   if (obs::Tracer* t = obs::tracer()) {
     t->mark("task", "dispatch", trace_id(run->spec.id), sim_.now());
   }
   const NodeId origin = run->spec.origin;
 
   // Guard against a dead provider or lost messages with a timeout.
-  auto responded = std::make_shared<bool>(false);
-  sim_.schedule_after(config_.dispatch_timeout, [this, run, responded] {
-    if (*responded || run->settled) return;
-    *responded = true;
+  sim_.schedule_after(config_.dispatch_timeout, [this, run, seq] {
+    if (run->awaiting != seq || run->settled) return;
+    run->awaiting = 0;
     on_candidates(run, {});  // fall back to the next untried candidate
   });
 
   bus_->send(
       origin, provider, net::MsgType::kDispatch,
       static_cast<std::size_t>(run->spec.input_bytes),
-      [this, run, provider, origin, responded] {
+      [this, run, provider, origin, seq] {
         psm::PsmScheduler* sched =
             hosts_.alive(provider) ? hosts_.scheduler(provider) : nullptr;
         // Admission must be idempotent in the task id: the link layer can
@@ -592,7 +603,7 @@ void Experiment::dispatch(const std::shared_ptr<TaskRun>& run,
                                  sched->admit(run->spec));
         if (admitted) {
           in_flight_.emplace(run->spec.id,
-                             Placement{run->spec, provider, run->on_complete});
+                             Placement{run->spec, provider, run->client});
         }
         // Either way the provider's availability picture changed (or the
         // advertised record proved stale): push a fresh state update so
@@ -600,9 +611,9 @@ void Experiment::dispatch(const std::shared_ptr<TaskRun>& run,
         protocol_->republish(provider);
         // Admission verdict travels back to the requester.
         bus_->send(provider, origin, net::MsgType::kDispatch, 64,
-                   [this, run, responded, admitted] {
-                     if (*responded || run->settled) return;
-                     *responded = true;
+                   [this, run, seq, admitted] {
+                     if (run->awaiting != seq || run->settled) return;
+                     run->awaiting = 0;
                      if (admitted) {
                        run->settled = true;
                        dispatch_attempts_.add(
@@ -628,11 +639,8 @@ void Experiment::retry_or_fail(const std::shared_ptr<TaskRun>& run) {
   if (!origin_alive || run->attempts > config_.max_query_retries) {
     run->settled = true;
     metrics_.on_failed(sim_.now());
-    if (obs::Tracer* t = obs::tracer()) {
-      t->mark("task", "failed", trace_id(run->spec.id), sim_.now());
-      t->end("task", "task", trace_id(run->spec.id), sim_.now());
-    }
-    if (run->on_complete) run->on_complete();
+    trace_failed(run->spec.id, sim_.now());
+    if (run->client) schedule_client_issue(run->spec.origin);
     if (config_.diagnose_failures) {
       // Ground truth at failure time: could any alive host admit the task?
       bool feasible = false;
@@ -692,10 +700,10 @@ void Experiment::on_host_finished_task(NodeId host,
   }
   lat_finish_.record_us(
       latency_us(it->second.spec.submit_time, info.finished_at));
-  std::function<void()> wake = std::move(it->second.on_complete);
+  const bool client = it->second.client;
   in_flight_.erase(it);
   checkpoints_.erase(info.id);
-  if (wake) wake();
+  if (client) schedule_client_issue(info.id.origin);
 }
 
 void Experiment::drain_cold_reap() {
@@ -766,14 +774,15 @@ void Experiment::on_host_departed(NodeId victim) {
         }
         wasted_work_ += done;
         metrics_.on_failed(sim_.now());
-        std::function<void()> wake;
+        trace_failed(progress.spec.id, sim_.now());
+        bool client = false;
         if (const auto it = in_flight_.find(progress.spec.id);
             it != in_flight_.end()) {
-          wake = std::move(it->second.on_complete);
+          client = it->second.client;
           in_flight_.erase(it);
         }
         checkpoints_.erase(progress.spec.id);
-        if (wake) wake();
+        if (client) schedule_client_issue(progress.spec.origin);
       }
       break;
     }
@@ -781,13 +790,13 @@ void Experiment::on_host_departed(NodeId victim) {
       for (const auto& progress :
            hosts_.scheduler(victim)->abort_all_with_progress()) {
         ++tasks_killed_by_churn_;
-        std::function<void()> wake;
+        bool client = false;
         if (const auto it = in_flight_.find(progress.spec.id);
             it != in_flight_.end()) {
-          wake = std::move(it->second.on_complete);
+          client = it->second.client;
           in_flight_.erase(it);
         }
-        restart_from_checkpoint(progress, std::move(wake));
+        restart_from_checkpoint(progress, client);
       }
       break;
     }
@@ -802,8 +811,7 @@ void Experiment::on_host_departed(NodeId victim) {
 }
 
 void Experiment::restart_from_checkpoint(
-    const psm::PsmScheduler::Progress& progress,
-    std::function<void()> on_complete) {
+    const psm::PsmScheduler::Progress& progress, bool client) {
   const TaskId id = progress.spec.id;
   // Work since the last snapshot is lost and must be redone.
   const auto cp = checkpoints_.lookup(id);
@@ -820,8 +828,9 @@ void Experiment::restart_from_checkpoint(
   const std::uint32_t restarts = checkpoints_.note_restart(id, sim_.now());
   if (!origin_alive || restarts > config_.checkpoint.max_restarts) {
     metrics_.on_failed(sim_.now());
+    trace_failed(id, sim_.now());
     checkpoints_.erase(id);
-    if (on_complete) on_complete();
+    if (client) schedule_client_issue(progress.spec.origin);
     return;
   }
   ++checkpoint_restarts_;
@@ -833,7 +842,7 @@ void Experiment::restart_from_checkpoint(
   auto run = std::make_shared<TaskRun>();
   run->spec = spec;
   run->is_restart = true;
-  run->on_complete = std::move(on_complete);
+  run->client = client;
   begin_query(run);
 }
 

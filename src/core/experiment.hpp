@@ -6,7 +6,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -259,9 +258,10 @@ class Experiment {
   /// own gauges (e.g. phase-boundary RSS).
   [[nodiscard]] obs::Registry& registry() { return registry_; }
 
-  /// Per-subsystem storage footprint at this instant: event queue, bus
-  /// slab, host table, in-flight map, plus the protocol's buckets (CAN
-  /// space, index caches, gossip views...).  The sum is the simulator's
+  /// Per-subsystem storage footprint at this instant: event queue (which
+  /// also holds every in-flight message), host table, in-flight task map,
+  /// plus the protocol's buckets (CAN space, index caches, gossip
+  /// views...).  The sum is the simulator's
   /// own accounted memory — bench_scale compares it against peak RSS.
   [[nodiscard]] obs::MemBreakdown mem_breakdown() const;
 
@@ -324,9 +324,10 @@ class Experiment {
   /// One closed-loop client: think (exponential), then issue; the next
   /// issue is chained from the task's completion, not from a rate.
   void schedule_client_issue(NodeId id);
-  /// Shared submission path; `on_complete` (nullable) fires exactly once
-  /// when the task settles terminally (finished, failed, or lost).
-  void submit_task_internal(NodeId origin, std::function<void()> on_complete);
+  /// Shared submission path.  For a closed-loop `client` task the origin's
+  /// next issue is scheduled exactly once, when the task settles terminally
+  /// (finished, failed, or lost).
+  void submit_task_internal(NodeId origin, bool client);
   /// Replace a fresh Table II demand draw by a Zipf-popular key profile.
   void apply_demand_profile(psm::TaskSpec& spec);
   void start_churn();
@@ -335,7 +336,7 @@ class Experiment {
   void start_checkpointing();
   void on_host_departed(NodeId victim);
   void restart_from_checkpoint(const psm::PsmScheduler::Progress& progress,
-                               std::function<void()> on_complete);
+                               bool client);
   void begin_query(const std::shared_ptr<TaskRun>& run);
   void on_candidates(const std::shared_ptr<TaskRun>& run,
                      std::vector<Discovered> candidates);
@@ -362,8 +363,7 @@ class Experiment {
   struct Placement {
     psm::TaskSpec spec;
     NodeId provider;
-    /// Closed-loop client wakeup (empty unless serving.closed_loop()).
-    std::function<void()> on_complete;
+    bool client = false;  ///< closed-loop client task: wake its origin
   };
   FlatMap<TaskId, Placement> in_flight_;  ///< open-addressing; no node allocs
   psm::CheckpointStore checkpoints_;

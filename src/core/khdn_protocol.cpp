@@ -108,15 +108,7 @@ void KhdnProtocol::republish(NodeId id) {
 void KhdnProtocol::query(NodeId requester, const ResourceVector& demand,
                          std::size_t want, QueryCallback cb) {
   system_.query(requester, demand, can::Point::normalized(demand, cmax_),
-                want,
-                [cb = std::move(cb)](std::vector<khdn::KhdnCandidate> f) {
-                  std::vector<Discovered> out;
-                  out.reserve(f.size());
-                  for (auto& c : f) {
-                    out.push_back(Discovered{c.provider, c.availability});
-                  }
-                  cb(std::move(out));
-                });
+                want, std::move(cb));
 }
 
 }  // namespace soc::core

@@ -83,15 +83,7 @@ StaleDebt NewscastProtocol::stale_debt(
 
 void NewscastProtocol::query(NodeId requester, const ResourceVector& demand,
                              std::size_t want, QueryCallback cb) {
-  system_.query(requester, demand, want,
-                [cb = std::move(cb)](std::vector<gossip::GossipCandidate> f) {
-                  std::vector<Discovered> out;
-                  out.reserve(f.size());
-                  for (auto& c : f) {
-                    out.push_back(Discovered{c.provider, c.availability});
-                  }
-                  cb(std::move(out));
-                });
+  system_.query(requester, demand, want, std::move(cb));
 }
 
 }  // namespace soc::core

@@ -14,13 +14,6 @@
 
 namespace soc::core {
 
-/// A discovered execution candidate: the advertised (possibly stale)
-/// availability of a provider node.
-struct Discovered {
-  NodeId provider;
-  ResourceVector availability;
-};
-
 /// Stale-record debt: how much of the protocol's cached discovery state
 /// points at providers that can no longer serve.  `dead_provider` counts
 /// live (unexpired) records/entries naming a dead or unreachable provider;

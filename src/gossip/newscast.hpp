@@ -41,17 +41,11 @@ struct NewscastConfig {
   double periodic_jitter = 0.1;
 };
 
-/// A discovered candidate (same shape as the structured protocols return).
-struct GossipCandidate {
-  NodeId provider;
-  ResourceVector availability;
-};
-
 class NewscastSystem {
  public:
   using AvailabilityProvider =
       std::function<std::optional<ResourceVector>(NodeId)>;
-  using Callback = std::function<void(std::vector<GossipCandidate>)>;
+  using Callback = std::function<void(std::vector<Discovered>)>;
 
   NewscastSystem(sim::Simulator& sim, net::MessageBus& bus,
                  NewscastConfig config, Rng rng);
@@ -108,7 +102,7 @@ class NewscastSystem {
     NodeId requester;
     ResourceVector demand;
     std::size_t want;
-    std::vector<GossipCandidate> results;
+    std::vector<Discovered> results;
     std::unordered_set<NodeId> seen;
     sim::EventHandle timeout;
     Callback cb;

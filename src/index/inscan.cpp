@@ -4,7 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "src/common/logging.hpp"
 #include "src/obs/trace.hpp"
 
 namespace soc::index {
@@ -179,7 +178,7 @@ void IndexSystem::start_periodics(NodeId id) {
 }
 
 // ---------------------------------------------------------------------------
-// Greedy routing (plain CAN neighbors, optionally + index-table fingers)
+// Greedy routing (CAN neighbors plus index-table fingers)
 
 // Everything a multi-hop route needs, allocated once per route; hop
 // closures capture only {this, ctx, at, ttl} and stay inside the InlineFn
@@ -204,12 +203,13 @@ void IndexSystem::route_step(NodeId at, std::size_t ttl,
   const can::Point& target = ctx->target;
   const can::ZoneRow here = space_.row_of(at);
   if (!here) return;  // current hop churned out: message lost
-  // Greedy choice over adjacent neighbors plus (optionally) index fingers,
-  // ranked by (containment, box distance, center distance, id) — the
-  // strictly decreasing key avoids cycles and resolves corner/boundary
-  // plateaus (see CanSpace::next_hop).  The neighbor scan prunes via the
-  // cached abutting-dimension metadata; a containing candidate ends the
-  // scan (nothing can displace a zone that owns the target).
+  // Greedy choice over adjacent neighbors plus index fingers, ranked by
+  // (containment, box distance, center distance, id) — the strictly
+  // decreasing key avoids cycles and resolves corner/boundary plateaus
+  // (see CanSpace::next_hop).  The neighbor scan prunes via the cached
+  // abutting-dimension metadata; a containing candidate ends the scan
+  // (nothing can displace a zone that owns the target).  A route of any
+  // type that is dropped here leaves a `route` tracer instant.
   NodeId best;
   double best_d = 0.0;
   double best_c = 0.0;
@@ -218,12 +218,14 @@ void IndexSystem::route_step(NodeId at, std::size_t ttl,
     return;
   }
   if (ttl == 0) {
-    SOC_LOG(kDebug) << "route TTL exhausted at node " << at.value;
+    if (obs::Tracer* t = obs::tracer()) {
+      t->instant("route", "ttl_exhausted", sim_.now(), "at", at.value);
+    }
     return;
   }
   bool contained =
       space_.scan_neighbors_toward(at, target, best, best_d, best_c);
-  const NodeState* st = config_.long_link_routing ? state_.find(at) : nullptr;
+  const NodeState* st = state_.find(at);
   if (!contained && st != nullptr) {
     // One lookup per finger: row_of() is null for a finger that has left.
     st->table.for_each_live(sim_.now(), [&](const IndexTable::Entry& e) {
@@ -234,7 +236,9 @@ void IndexSystem::route_step(NodeId at, std::size_t ttl,
     });
   }
   if (!best.valid()) {
-    SOC_LOG(kDebug) << "route stalled at node " << at.value;
+    if (obs::Tracer* t = obs::tracer()) {
+      t->instant("route", "stalled", sim_.now(), "at", at.value);
+    }
     return;
   }
   // Trace query routing hops only — periodic state updates route too and

@@ -44,7 +44,7 @@ enum class DiffusionMethod : std::uint8_t {
 /// implies receivers open the next dimension like the hopping method.
 /// The strict reading reproduces the paper's SID-vs-HID ranking and is the
 /// default; the cascade reading is available for the interpretation
-/// ablation (bench_ablation_spreading).
+/// ablation (`sweep_run --preset ablation-spreading`).
 enum class SpreadingScope : std::uint8_t {
   kSenderTracks,  // strict Fig. 3(a): d·L direct messages, receivers store
   kCascade,       // ω-based: receivers spawn the next dimension themselves
@@ -67,7 +67,6 @@ struct InscanConfig {
   SpreadingScope spreading_scope = SpreadingScope::kSenderTracks;
   IndexSelectPolicy select_policy = IndexSelectPolicy::kRandomPowerLevel;
   std::size_t route_ttl = 512;              ///< safety cap on greedy hops
-  bool long_link_routing = true;            ///< use index links in routing
   std::size_t state_msg_bytes = 200;
   std::size_t index_msg_bytes = 64;
   std::size_t probe_msg_bytes = 48;
@@ -134,9 +133,9 @@ class IndexSystem {
   using ArriveFn = InlineFn<void(NodeId)>;
 
   /// Route a message greedily toward `target`, one bus message per hop;
-  /// `on_arrive` runs at the owner of the target point.  With
-  /// long_link_routing the index tables serve as additional fingers
-  /// (INSCAN's O(log² n) routing); otherwise plain CAN neighbors only.
+  /// `on_arrive` runs at the owner of the target point.  The index tables
+  /// serve as additional fingers beside the CAN neighbors (INSCAN's
+  /// O(log² n) routing).
   /// The route allocates once (shared target/callback context); every
   /// per-hop forwarding closure stays inside the event-queue slab.
   void route(NodeId from, const can::Point& target, net::MsgType type,

@@ -187,7 +187,7 @@ void KhdnSystem::scan_visit(std::uint64_t qid, NodeId at,
     for (const auto& r : qualified) {
       if (p.results.size() >= p.want) break;
       if (!p.seen_providers.insert(r.provider).second) continue;
-      p.results.push_back(KhdnCandidate{r.provider, r.availability});
+      p.results.push_back(Discovered{r.provider, r.availability});
       ++fresh;
     }
     if (fresh > 0) {

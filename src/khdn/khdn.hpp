@@ -36,16 +36,11 @@ struct KhdnConfig {
   double periodic_jitter = 0.1;
 };
 
-struct KhdnCandidate {
-  NodeId provider;
-  ResourceVector availability;
-};
-
 class KhdnSystem {
  public:
   using AvailabilityProvider =
       std::function<std::optional<index::Record>(NodeId)>;
-  using Callback = std::function<void(std::vector<KhdnCandidate>)>;
+  using Callback = std::function<void(std::vector<Discovered>)>;
 
   KhdnSystem(sim::Simulator& sim, net::MessageBus& bus, can::CanSpace& space,
              KhdnConfig config, Rng rng);
@@ -109,7 +104,7 @@ class KhdnSystem {
     NodeId requester;
     ResourceVector demand;
     std::size_t want;
-    std::vector<KhdnCandidate> results;
+    std::vector<Discovered> results;
     std::unordered_set<NodeId> seen_providers;
     std::unordered_set<NodeId> visited;
     std::size_t outstanding = 0;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/logging.hpp"
-
 namespace soc::net {
 
 LinkModel::LinkModel(const Topology& topo, LinkFaultConfig config, Rng rng)

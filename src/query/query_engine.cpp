@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/logging.hpp"
 #include "src/obs/trace.hpp"
 
 namespace soc::query {
@@ -23,9 +22,7 @@ NodeId take_random(std::vector<NodeId>& v, Rng& rng) {
 
 QueryEngine::QueryEngine(index::IndexSystem& index, QueryConfig config)
     : index_(index), config_(config),
-      rng_(index.simulator().rng().fork("query-engine")) {
-  SOC_CHECK(config_.expected_results >= 1);
-}
+      rng_(index.simulator().rng().fork("query-engine")) {}
 
 std::uint64_t QueryEngine::begin_query(NodeId requester,
                                        const ResourceVector& demand,
@@ -68,12 +65,6 @@ void QueryEngine::finish(std::uint64_t qid) {
     t->end("query", "query", qid, index_.simulator().now());
   }
   if (p.cb) p.cb(std::move(p.results));
-}
-
-void QueryEngine::submit(NodeId requester, const ResourceVector& demand,
-                         const can::Point& target, Callback cb) {
-  submit_k(requester, demand, target, config_.expected_results,
-           std::move(cb));
 }
 
 void QueryEngine::submit_k(NodeId requester, const ResourceVector& demand,
@@ -197,10 +188,10 @@ std::size_t QueryEngine::harvest_and_notify(std::uint64_t qid, NodeId at,
   }
 
   // One FoundList message ϕ straight back to the requester.
-  std::vector<Candidate> found;
+  std::vector<Discovered> found;
   found.reserve(qualified.size());
   for (const auto& r : qualified) {
-    found.push_back(Candidate{r.provider, r.availability});
+    found.push_back(Discovered{r.provider, r.availability});
     p.seen_providers.insert(r.provider);
   }
   index_.bus().send(
@@ -290,7 +281,7 @@ void QueryEngine::flood_visit(std::uint64_t qid, NodeId at,
                                     qualified);
     for (const auto& r : qualified) {
       if (p.seen_providers.insert(r.provider).second) {
-        p.results.push_back(Candidate{r.provider, r.availability});
+        p.results.push_back(Discovered{r.provider, r.availability});
       }
     }
     // Forward to every unvisited neighbor whose zone still intersects the

@@ -24,14 +24,7 @@
 
 namespace soc::query {
 
-/// A discovered execution candidate (possibly stale by record TTL).
-struct Candidate {
-  NodeId provider;
-  ResourceVector availability;
-};
-
 struct QueryConfig {
-  std::size_t expected_results = 1;  ///< δ: first-k termination
   std::size_t jump_list_size = 4;    ///< indexes sampled into j (Alg. 4)
   SimTime timeout = seconds(90);     ///< requester-side deadline
   std::size_t query_msg_bytes = 128;
@@ -50,18 +43,14 @@ struct QueryStats {
 
 class QueryEngine {
  public:
-  using Callback = std::function<void(std::vector<Candidate>)>;
+  using Callback = std::function<void(std::vector<Discovered>)>;
 
   QueryEngine(index::IndexSystem& index, QueryConfig config);
 
-  /// Submit the PID-CAN query.  `target` is the CAN point of the demand
-  /// (normalized expectation vector; the VD variant appends its virtual
-  /// coordinate).  The callback fires exactly once, possibly with fewer
-  /// than δ (even zero) candidates.
-  void submit(NodeId requester, const ResourceVector& demand,
-              const can::Point& target, Callback cb);
-
-  /// Submit with an explicit δ override (ablation of first-k).
+  /// Submit the PID-CAN query for `want` (δ, first-k) results.  `target`
+  /// is the CAN point of the demand (normalized expectation vector; the VD
+  /// variant appends its virtual coordinate).  The callback fires exactly
+  /// once, possibly with fewer than δ (even zero) candidates.
   void submit_k(NodeId requester, const ResourceVector& demand,
                 const can::Point& target, std::size_t want, Callback cb);
 
@@ -78,7 +67,7 @@ class QueryEngine {
     NodeId requester;
     ResourceVector demand;
     std::size_t want = 1;
-    std::vector<Candidate> results;
+    std::vector<Discovered> results;
     std::unordered_set<NodeId> seen_providers;
     sim::EventHandle timeout;
     Callback cb;

@@ -138,7 +138,7 @@ InvariantReport check_invariants(core::Experiment& ex, Rng& rng) {
                    std::to_string(resolved));
   }
   chk.expect(ex.bus().in_flight() == stats.total_in_flight(),
-             "bus slab occupancy != per-type in-flight totals");
+             "bus in-flight counter != per-type in-flight totals");
 
   // 4. Partition bookkeeping: the cut set only holds alive hosts, the
   // protocol's parked state mirrors it exactly, and no messages can be

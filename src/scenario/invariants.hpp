@@ -5,11 +5,12 @@
 // The checked invariant set:
 //   1. Experiment accounting — alive counter, DenseNodeMap occupancy and
 //      in-flight placements agree (dense-storage handle sanity).
-//   2. Event queue — every heap entry points at a live (odd-generation)
-//      slab slot with a correct back-pointer, heap order holds, slab live
-//      count equals heap size.
+//   2. Event queue — heap order holds, the top entry is live, every live
+//      (odd-generation) slot is referenced by exactly one heap entry, and
+//      cancelled entries stay within the tombstone bound.
 //   3. Message conservation — per MsgType, sent == delivered + lost +
-//      in-flight, and the bus slab's live count equals total in-flight.
+//      in-flight, and the bus's in-flight counter equals the per-type
+//      in-flight total.
 //   4. CAN tessellation — member zones tile the unit cube exactly
 //      (Σ volume ≈ 1 plus the full O(n²) overlap/adjacency/symmetry
 //      verifier) for every protocol that runs on a CanSpace.

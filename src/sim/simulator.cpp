@@ -3,26 +3,7 @@
 #include <memory>
 #include <utility>
 
-#include "src/common/logging.hpp"
-
 namespace soc::sim {
-
-namespace {
-// While a simulator drives this thread, SOC_LOG lines carry a
-// [t=<sim µs>] prefix.  Installed around the run loop; save/restore
-// supports nested simulators (tests that run one sim from inside
-// another's callback).
-struct ScopedLogTime {
-  explicit ScopedLogTime(const Simulator* sim)
-      : prev_(Logger::set_time_source(
-            {[](const void* ctx) {
-               return static_cast<const Simulator*>(ctx)->now();
-             },
-             sim})) {}
-  ~ScopedLogTime() { Logger::set_time_source(prev_); }
-  Logger::TimeSource prev_;
-};
-}  // namespace
 
 Simulator::Simulator(std::uint64_t seed) : rng_(seed) {}
 
@@ -82,7 +63,6 @@ EventHandle Simulator::schedule_periodic(SimTime period,
 }
 
 std::uint64_t Simulator::run_until(SimTime until) {
-  const ScopedLogTime log_time(this);
   std::uint64_t n = 0;
   while (!queue_.empty() && queue_.next_time() <= until) {
     auto [at, fn] = queue_.pop();
@@ -101,7 +81,6 @@ std::uint64_t Simulator::run_until(SimTime until) {
 std::uint64_t Simulator::run_all() { return run_until(kSimTimeNever); }
 
 bool Simulator::step(SimTime until) {
-  const ScopedLogTime log_time(this);
   if (queue_.empty() || queue_.next_time() > until) return false;
   auto [at, fn] = queue_.pop();
   now_ = at;

@@ -88,9 +88,9 @@ TEST(Newscast, QueryFindsQualifiedEntry) {
   int hits = 0;
   for (int i = 0; i < 20; ++i) {
     bool done = false;
-    std::vector<GossipCandidate> out;
+    std::vector<Discovered> out;
     fx.system_.query(fx.ids_[fx.rng_.pick_index(fx.ids_.size())], demand, 1,
-                     [&](std::vector<GossipCandidate> f) {
+                     [&](std::vector<Discovered> f) {
                        out = std::move(f);
                        done = true;
                      });
@@ -108,9 +108,9 @@ TEST(Newscast, ImpossibleDemandFails) {
   GossipFixture fx(32, 11);
   fx.sim_.run_until(seconds(900));
   bool done = false;
-  std::vector<GossipCandidate> out;
+  std::vector<Discovered> out;
   fx.system_.query(fx.ids_[0], ResourceVector::filled(psm::kDims, 99.0), 1,
-                   [&](std::vector<GossipCandidate> f) {
+                   [&](std::vector<Discovered> f) {
                      out = std::move(f);
                      done = true;
                    });

@@ -63,14 +63,14 @@ class DiscoveryFixture {
   }
 
   /// Issue one query and run the sim until it resolves.
-  std::vector<query::Candidate> query_once(const ResourceVector& demand,
-                                           std::size_t want = 1) {
-    std::vector<query::Candidate> out;
+  std::vector<Discovered> query_once(const ResourceVector& demand,
+                                     std::size_t want = 1) {
+    std::vector<Discovered> out;
     bool done = false;
     const NodeId requester = ids_[rng_.pick_index(ids_.size())];
     engine_->submit_k(requester, demand,
                       can::Point::normalized(demand, cmax_), want,
-                      [&](std::vector<query::Candidate> found) {
+                      [&](std::vector<Discovered> found) {
                         out = std::move(found);
                         done = true;
                       });
@@ -208,11 +208,11 @@ TEST(DiscoveryIntegration, FullRangeQueryFindsEntireQualifiedSet) {
   }
   ASSERT_GT(cached_qualified, 0u);
 
-  std::vector<query::Candidate> out;
+  std::vector<Discovered> out;
   bool done = false;
   fx.engine_->submit_full_range(fx.ids_[0], demand,
                                 can::Point::normalized(demand, fx.cmax_),
-                                [&](std::vector<query::Candidate> f) {
+                                [&](std::vector<Discovered> f) {
                                   out = std::move(f);
                                   done = true;
                                 });

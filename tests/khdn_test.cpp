@@ -73,10 +73,10 @@ TEST(Khdn, QueryFindsQualifiedCandidates) {
   int hits = 0;
   for (int i = 0; i < 20; ++i) {
     bool done = false;
-    std::vector<KhdnCandidate> out;
+    std::vector<Discovered> out;
     fx.system_.query(fx.ids_[fx.rng_.pick_index(fx.ids_.size())], demand,
                      can::Point::normalized(demand, fx.cmax_), 1,
-                     [&](std::vector<KhdnCandidate> f) {
+                     [&](std::vector<Discovered> f) {
                        out = std::move(f);
                        done = true;
                      });
@@ -94,11 +94,11 @@ TEST(Khdn, ImpossibleDemandReturnsEmpty) {
   KhdnFixture fx(32, 2, 7);
   fx.sim_.run_until(seconds(600));
   bool done = false;
-  std::vector<KhdnCandidate> out;
+  std::vector<Discovered> out;
   const ResourceVector demand{11.0, 11.0};
   fx.system_.query(fx.ids_[0], demand,
                    can::Point::normalized(demand, fx.cmax_), 1,
-                   [&](std::vector<KhdnCandidate> f) {
+                   [&](std::vector<Discovered> f) {
                      out = std::move(f);
                      done = true;
                    });

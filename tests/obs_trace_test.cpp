@@ -11,7 +11,9 @@
 //      src/common/json codec (no external JSON dependency).
 //   3. Span accounting is sane: every completed task/query closes its
 //      async span, so 'e' events never outnumber 'b' events and at least
-//      one 'e' exists per finished task.
+//      one 'e' exists per finished task.  Under churn that kills tasks
+//      (tasks-lost, checkpoint restart) every terminal path closes the
+//      task span: the task 'e' events equal finished + failed exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -38,17 +40,34 @@ core::ExperimentConfig small_config(core::ProtocolKind protocol) {
   return c;
 }
 
+/// Task-category span ends ('e' events) in the exported trace JSON.
+std::size_t task_span_ends(const obs::Tracer& tracer) {
+  const auto doc = json::parse(tracer.to_json());
+  const json::Value* events = doc ? doc->find("traceEvents") : nullptr;
+  if (events == nullptr || events->array() == nullptr) {
+    ADD_FAILURE() << "trace JSON has no traceEvents array";
+    return 0;
+  }
+  std::size_t ends = 0;
+  for (const json::Value& e : *events->array()) {
+    json::Fields f(e);
+    if (f.str("ph") == "e" && f.str("cat") == "task") ++ends;
+  }
+  return ends;
+}
+
 /// Run the scenario untraced, then traced, and require bit-identical
 /// results.  Returns the traced run's event counts for span accounting.
 struct TracedRun {
   std::uint64_t finished = 0;
+  std::uint64_t failed = 0;
   std::size_t begins = 0;
   std::size_t ends = 0;
+  std::size_t task_ends = 0;  ///< task-category 'e' events in the JSON
   std::size_t events = 0;
 };
 
-TracedRun expect_trace_transparent(core::ProtocolKind protocol) {
-  const core::ExperimentConfig config = small_config(protocol);
+TracedRun expect_trace_transparent(const core::ExperimentConfig& config) {
   const std::uint64_t off = core::run_experiment(config).fingerprint();
 
   obs::Tracer tracer;
@@ -58,9 +77,14 @@ TracedRun expect_trace_transparent(core::ProtocolKind protocol) {
 
   EXPECT_EQ(traced.fingerprint(), off)
       << "tracing perturbed the trajectory (protocol "
-      << static_cast<int>(protocol) << ")";
-  return TracedRun{traced.finished, tracer.count_ph('b'),
-                   tracer.count_ph('e'), tracer.event_count()};
+      << static_cast<int>(config.protocol) << ")";
+  return TracedRun{traced.finished,       traced.failed,
+                   tracer.count_ph('b'),  tracer.count_ph('e'),
+                   task_span_ends(tracer), tracer.event_count()};
+}
+
+TracedRun expect_trace_transparent(core::ProtocolKind protocol) {
+  return expect_trace_transparent(small_config(protocol));
 }
 
 TEST(ObsTrace, HidCanTrajectoryIdenticalWithTracingOn) {
@@ -85,6 +109,31 @@ TEST(ObsTrace, KhdnCanTrajectoryIdenticalWithTracingOn) {
   EXPECT_GT(t.ends, 0u);
   EXPECT_GE(t.begins, t.ends);
   EXPECT_GE(t.ends, t.finished);
+}
+
+/// Heavy churn under a task-killing policy: hosts die with tasks on them.
+core::ExperimentConfig killing_churn_config(core::ChurnTaskPolicy policy) {
+  core::ExperimentConfig c = small_config(core::ProtocolKind::kHidCan);
+  c.duration = seconds(7200);
+  c.churn_dynamic_degree = 0.5;
+  c.churn_task_policy = policy;
+  return c;
+}
+
+TEST(ObsTrace, TasksLostClosesEveryTaskSpan) {
+  const TracedRun t = expect_trace_transparent(
+      killing_churn_config(core::ChurnTaskPolicy::kTasksLost));
+  ASSERT_GT(t.failed, 0u);
+  EXPECT_EQ(t.task_ends, t.finished + t.failed)
+      << "a task killed with its host must close its span";
+}
+
+TEST(ObsTrace, CheckpointRestartClosesEveryTaskSpan) {
+  const TracedRun t = expect_trace_transparent(
+      killing_churn_config(core::ChurnTaskPolicy::kCheckpointRestart));
+  ASSERT_GT(t.failed, 0u);
+  EXPECT_EQ(t.task_ends, t.finished + t.failed)
+      << "a checkpoint restart that gives up must close its span";
 }
 
 TEST(ObsTrace, TracedTraceIsDeterministic) {

@@ -68,10 +68,10 @@ TEST(QueryEdge, CornerDutyNodeWithNoPositiveNeighbors) {
   // resolve (via the duty node's own cache) rather than hang.
   const ResourceVector demand{9.99, 9.99};
   bool done = false;
-  std::vector<query::Candidate> out;
+  std::vector<Discovered> out;
   h.engine.submit_k(h.ids[0], demand,
                     can::Point::normalized(demand, h.cmax), 1,
-                    [&](std::vector<query::Candidate> f) {
+                    [&](std::vector<Discovered> f) {
                       out = std::move(f);
                       done = true;
                     });
@@ -89,7 +89,7 @@ TEST(QueryEdge, CallbackFiresExactlyOnceOnTimeout) {
   int calls = 0;
   h.engine.submit_k(h.ids[0], ResourceVector{9.0, 9.0},
                     can::Point{0.9, 0.9}, 1,
-                    [&](std::vector<query::Candidate>) { ++calls; });
+                    [&](std::vector<Discovered>) { ++calls; });
   h.sim.run_until(h.sim.now() + seconds(600));
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(h.engine.stats().submitted, 1u);
@@ -108,7 +108,7 @@ TEST(QueryEdge, ManyConcurrentQueriesAllResolve) {
                                 h.rng.uniform(0.0, 9.0)};
     h.engine.submit_k(h.ids[h.rng.pick_index(h.ids.size())], demand,
                       can::Point::normalized(demand, h.cmax), 1,
-                      [&](std::vector<query::Candidate>) { ++done; });
+                      [&](std::vector<Discovered>) { ++done; });
   }
   h.sim.run_until(h.sim.now() + seconds(300));
   EXPECT_EQ(done, kQueries);
@@ -121,7 +121,7 @@ TEST(QueryEdge, RequesterChurnMidQueryStillTerminates) {
   const NodeId requester = h.ids[5];
   h.engine.submit_k(requester, ResourceVector{5.0, 5.0},
                     can::Point{0.5, 0.5}, 1,
-                    [&](std::vector<query::Candidate>) { done = true; });
+                    [&](std::vector<Discovered>) { done = true; });
   // The requester departs immediately; found-notices to it are lost, but
   // the engine-side timeout must still close the query.
   h.index.remove_node(requester);
@@ -139,7 +139,7 @@ TEST(QueryEdge, VisitedNodeCountIsBounded) {
                                 h.rng.uniform(0.0, 9.0)};
     h.engine.submit_k(h.ids[h.rng.pick_index(h.ids.size())], demand,
                       can::Point::normalized(demand, h.cmax), 1,
-                      [](std::vector<query::Candidate>) {});
+                      [](std::vector<Discovered>) {});
   }
   h.sim.run_until(h.sim.now() + seconds(400));
   // Single-message queries touch a handful of nodes, never a flood: the
@@ -178,7 +178,7 @@ TEST(QueryEdge, VirtualDimensionProtocolEndToEnd) {
   for (int i = 0; i < 10; ++i) {
     proto.query(NodeId(static_cast<std::uint32_t>(i)),
                 ResourceVector{5.0, 20.0, 4.0, 60.0, 1024.0}, 1,
-                [&](std::vector<core::Discovered> found) {
+                [&](std::vector<Discovered> found) {
                   ++done;
                   hits += !found.empty();
                 });
@@ -218,7 +218,7 @@ TEST(QueryEdge, SosQueriesStillSatisfyOriginalDemand) {
   int done = 0;
   for (int i = 0; i < 10; ++i) {
     proto.query(NodeId(static_cast<std::uint32_t>(i)), demand, 1,
-                [&](std::vector<core::Discovered> found) {
+                [&](std::vector<Discovered> found) {
                   ++done;
                   // Whatever SoS skewed to, returned candidates must still
                   // dominate the *original* expectation.

@@ -6,7 +6,9 @@
 
 #include <map>
 
-#include "src/core/soc.hpp"
+#include "src/common/stats.hpp"
+#include "src/core/experiment.hpp"
+#include "src/workload/serving.hpp"
 
 namespace soc {
 namespace {
