@@ -31,8 +31,7 @@ struct BenchOptions {
   bool full = false;
   std::string json_path;          ///< --json <path>: emit a BENCH_*.json
 
-  static BenchOptions parse(int argc, char** argv) {
-    const CliArgs args(argc, argv);
+  static BenchOptions parse(const CliArgs& args) {
     BenchOptions o;
     o.full = args.get_bool("full", false);
     o.nodes = static_cast<std::size_t>(

@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
   const double threshold = args.get_double("threshold", 0.10);
   const bool check_counts = args.get_bool("check-counts", false);
   const auto trend = static_cast<std::size_t>(args.get_int("trend", 0));
+  args.exit_on_errors();
 
   if ((trend == 0 && files.size() != 2) || (trend > 0 && files.size() < 2)) {
     std::fprintf(

@@ -254,7 +254,6 @@ void BM_InscanRouteHop(benchmark::State& state) {
   cfg.index_refresh_period = seconds(1e7);
   cfg.index_entry_ttl = seconds(1e8);
   index::IndexSystem idx(sim, bus, space, cfg, Rng(34));
-  idx.attach_to_space();
   std::vector<NodeId> ids;
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId id = topo.add_host();
@@ -398,7 +397,6 @@ void BM_RangeQueryTraffic(benchmark::State& state) {
   can::CanSpace space(5, Rng(10));
   index::InscanConfig cfg;
   index::IndexSystem idx(sim, bus, space, cfg, Rng(11));
-  idx.attach_to_space();
   Rng rng(12);
   std::vector<NodeId> ids;
   for (std::uint32_t i = 0; i < n; ++i) {

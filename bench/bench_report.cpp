@@ -27,11 +27,12 @@ using namespace soc::bench;
 using core::ProtocolKind;
 
 int main(int argc, char** argv) {
-  BenchOptions opt = BenchOptions::parse(argc, argv);
-  if (opt.json_path.empty()) opt.json_path = "BENCH_hotpath.json";
   const CliArgs args(argc, argv);
+  BenchOptions opt = BenchOptions::parse(args);
+  if (opt.json_path.empty()) opt.json_path = "BENCH_hotpath.json";
   const std::string trace_path = args.get("trace", "");
   const bool profile_handlers = args.get_bool("profile-handlers", false);
+  args.exit_on_errors();
   opt.print_header("Hot-path perf report (events/sec, messages/sec)");
 
   const std::vector<ProtocolKind> protocols{

@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
   const double churn = args.get_double("churn", 0.05);
   const std::string proto_name = args.get("protocol", "HID-CAN");
   const bool verify_identical = args.get_bool("verify-identical", false);
+  args.exit_on_errors();
 
   const auto protocol = core::protocol_from_name(proto_name);
   if (!protocol.has_value()) {

@@ -15,6 +15,8 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const auto nodes = static_cast<std::size_t>(args.get_int("nodes", 256));
   const double hours = args.get_double("hours", 4.0);
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  args.exit_on_errors();
 
   std::printf("HID-CAN under churn (%zu nodes, lambda=0.5, %.1fh)\n\n", nodes,
               hours);
@@ -28,7 +30,7 @@ int main(int argc, char** argv) {
     c.demand_ratio = 0.5;
     c.duration = seconds(hours * 3600.0);
     c.churn_dynamic_degree = degree;
-    c.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    c.seed = seed;
 
     core::Experiment ex(c);
     ex.setup();

@@ -15,6 +15,8 @@ int main(int argc, char** argv) {
   const auto nodes = static_cast<std::size_t>(args.get_int("nodes", 256));
   const double hours = args.get_double("hours", 4.0);
   const double churn = args.get_double("churn", 0.75);
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  args.exit_on_errors();
 
   struct Case {
     core::ChurnTaskPolicy policy;
@@ -45,7 +47,7 @@ int main(int argc, char** argv) {
     c.duration = seconds(hours * 3600.0);
     c.churn_dynamic_degree = churn;
     c.churn_task_policy = cases[i].policy;
-    c.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    c.seed = seed;
     results[i] = core::run_experiment(c);
   }
 

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const auto n = static_cast<std::size_t>(args.get_int("nodes", 64));
   const auto dims = static_cast<std::size_t>(args.get_int("dims", 2));
+  args.exit_on_errors();
 
   sim::Simulator sim(42);
   net::Topology topo(net::TopologyConfig{}, Rng(43));
@@ -29,7 +30,6 @@ int main(int argc, char** argv) {
   can::CanSpace space(dims, Rng(44));
   index::InscanConfig cfg;
   index::IndexSystem index(sim, bus, space, cfg, Rng(45));
-  index.attach_to_space();
 
   // Synthetic availabilities in [0, 10]^dims.
   const ResourceVector cmax = ResourceVector::filled(dims, 10.0);

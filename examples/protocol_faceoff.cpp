@@ -17,6 +17,8 @@ int main(int argc, char** argv) {
   const auto nodes = static_cast<std::size_t>(args.get_int("nodes", 384));
   const double lambda = args.get_double("lambda", 0.5);
   const double hours = args.get_double("hours", 6.0);
+  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  args.exit_on_errors();
 
   const std::vector<core::ProtocolKind> kinds{
       core::ProtocolKind::kHidCan,    core::ProtocolKind::kSidCan,
@@ -34,7 +36,7 @@ int main(int argc, char** argv) {
     c.nodes = nodes;
     c.demand_ratio = lambda;
     c.duration = seconds(hours * 3600.0);
-    c.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    c.seed = seed;
     results[i] = core::run_experiment(c);
   }
 

@@ -16,6 +16,11 @@ int main(int argc, char** argv) {
 
   soc::core::ExperimentConfig config;
   const std::string name = args.get("protocol", "hid-can");
+  config.nodes = static_cast<std::size_t>(args.get_int("nodes", 256));
+  config.demand_ratio = args.get_double("lambda", 0.5);
+  config.duration = soc::seconds(args.get_double("hours", 6.0) * 3600.0);
+  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  args.exit_on_errors();
   const auto protocol = soc::core::protocol_from_name(name);
   if (!protocol.has_value()) {
     std::fprintf(stderr, "example_quickstart: unknown protocol '%s'\n",
@@ -23,10 +28,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.protocol = *protocol;
-  config.nodes = static_cast<std::size_t>(args.get_int("nodes", 256));
-  config.demand_ratio = args.get_double("lambda", 0.5);
-  config.duration = soc::seconds(args.get_double("hours", 6.0) * 3600.0);
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 
   std::printf("Self-Organizing Cloud quickstart\n");
   std::printf("  protocol=%s nodes=%zu lambda=%.2f duration=%.1fh seed=%llu\n\n",

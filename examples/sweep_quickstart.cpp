@@ -36,6 +36,7 @@ int main(int argc, char** argv) {
   spec.repeats = static_cast<std::size_t>(args.get_int("repeats", 2));
   spec.hours = args.get_double("hours", 0.25);
   spec.base_seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  args.exit_on_errors();
 
   const std::size_t shards_total = 4;
   std::printf("# sweep quickstart: %s\n", spec.describe().c_str());

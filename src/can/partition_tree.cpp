@@ -24,10 +24,6 @@ const Zone& PartitionTree::zone_of(NodeId id) const {
   return leaf_for(id)->zone;
 }
 
-std::size_t PartitionTree::depth_of(NodeId id) const {
-  return leaf_for(id)->depth;
-}
-
 NodeId PartitionTree::owner_of(const Point& p) const {
   const TreeNode* t = root_.get();
   while (!t->is_leaf()) {
@@ -125,13 +121,6 @@ PartitionTree::Repair PartitionTree::leave(NodeId owner) {
   repair.reassigned_to = y;
   leaves_.maybe_compact();  // values are TreeNode*; no references held
   return repair;
-}
-
-std::vector<NodeId> PartitionTree::owners() const {
-  std::vector<NodeId> out;
-  out.reserve(leaves_.size());
-  for (const auto& [id, _] : leaves_) out.push_back(id);
-  return out;
 }
 
 bool PartitionTree::tiles_unit_cube() const {

@@ -51,7 +51,6 @@ class PartitionTree {
   }
 
   [[nodiscard]] const Zone& zone_of(NodeId id) const;
-  [[nodiscard]] std::size_t depth_of(NodeId id) const;
 
   /// Owner of the leaf containing p (tree descent oracle).
   [[nodiscard]] NodeId owner_of(const Point& p) const;
@@ -65,9 +64,6 @@ class PartitionTree {
 
   /// Remove `owner`'s leaf and repair the tree.  Requires leaf_count() > 1.
   Repair leave(NodeId owner);
-
-  /// All live owners, in ascending id order.
-  [[nodiscard]] std::vector<NodeId> owners() const;
 
   /// Test oracle: zones of all leaves tile the unit cube exactly.
   [[nodiscard]] bool tiles_unit_cube() const;

@@ -6,7 +6,7 @@
 // cache lines instead of a kMaxDims-padded Zone plus a cached center.
 //
 // rank_toward() is the single definition of the routing order every layer
-// shares (CAN next_hop, KHDN greedy routing, INSCAN's finger scan):
+// shares (CAN next_hop, can::GreedyRouter and INSCAN's finger hook):
 // containment first, then box distance, then center distance, then id.
 // It is bit-identical to the Zone::contains / Zone::distance_sq /
 // point_distance_sq chain:

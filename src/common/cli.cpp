@@ -1,5 +1,6 @@
 #include "src/common/cli.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
@@ -21,31 +22,60 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
   }
 }
 
+const std::string* CliArgs::find(const std::string& name) const {
+  read_.insert(name);
+  const auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+void CliArgs::reject(const std::string& name, const char* what) const {
+  errors_.push_back("--" + name + ": '" + values_.at(name) + "' is not " +
+                    what);
+}
+
 bool CliArgs::has(const std::string& name) const {
-  return values_.contains(name);
+  return find(name) != nullptr;
 }
 
 std::string CliArgs::get(const std::string& name,
                          const std::string& fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  const std::string* v = find(name);
+  return v == nullptr ? fallback : *v;
 }
 
 std::int64_t CliArgs::get_int(const std::string& name,
                               std::int64_t fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string* v = find(name);
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  const long long out = std::strtoll(v->c_str(), &end, 10);
+  if (end == v->c_str() || *end != '\0') reject(name, "an integer");
+  return out;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
-  const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  const std::string* v = find(name);
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  const double out = std::strtod(v->c_str(), &end);
+  if (end == v->c_str() || *end != '\0') reject(name, "a number");
+  return out;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* v = find(name);
+  if (v == nullptr) return fallback;
+  return *v == "true" || *v == "1" || *v == "yes";
+}
+
+void CliArgs::exit_on_errors() const {
+  std::vector<std::string> errors = errors_;
+  for (const auto& [name, value] : values_) {
+    if (!read_.contains(name)) errors.push_back("unknown flag --" + name);
+  }
+  if (errors.empty()) return;
+  for (const std::string& e : errors) std::fprintf(stderr, "%s\n", e.c_str());
+  std::exit(2);
 }
 
 namespace {

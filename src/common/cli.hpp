@@ -1,10 +1,15 @@
 // Tiny command-line flag parser shared by benches and examples.
 // Accepts --name=value, --name value, and boolean --name forms.
+//
+// The flags a binary accepts are exactly the ones it reads: once every
+// flag is read, exit_on_errors() rejects any other flag on the command
+// line, and any number that did not parse in full.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -37,8 +42,20 @@ class CliArgs {
   [[nodiscard]] std::optional<std::vector<std::size_t>> get_size_list(
       const std::string& name, const std::string& fallback) const;
 
+  /// Exit with status 2 and a message on stderr if the command line holds
+  /// a flag that no accessor has read, or get_int/get_double met a value
+  /// that does not parse in full.  Call it after reading every flag the
+  /// binary takes and before starting work.
+  void exit_on_errors() const;
+
  private:
+  /// `name`'s value, or nullptr when absent; either way `name` is read.
+  [[nodiscard]] const std::string* find(const std::string& name) const;
+  void reject(const std::string& name, const char* what) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
+  mutable std::vector<std::string> errors_;
 };
 
 }  // namespace soc

@@ -68,14 +68,6 @@ class ResourceVector {
     return true;
   }
 
-  /// Strict componentwise domination on every axis.
-  [[nodiscard]] bool strictly_dominates(const ResourceVector& other) const {
-    SOC_DCHECK(size_ == other.size_);
-    for (std::size_t i = 0; i < size_; ++i)
-      if (v_[i] <= other.v_[i]) return false;
-    return true;
-  }
-
   ResourceVector& operator+=(const ResourceVector& o) {
     SOC_DCHECK(size_ == o.size_);
     for (std::size_t i = 0; i < size_; ++i) v_[i] += o.v_[i];
@@ -100,25 +92,7 @@ class ResourceVector {
   friend ResourceVector operator*(ResourceVector a, double s) { return a *= s; }
   friend ResourceVector operator*(double s, ResourceVector a) { return a *= s; }
 
-  /// Componentwise division; both vectors must be the same size and the
-  /// divisor strictly positive on every axis.
-  [[nodiscard]] ResourceVector divided_by(const ResourceVector& o) const {
-    SOC_DCHECK(size_ == o.size_);
-    ResourceVector r(size_);
-    for (std::size_t i = 0; i < size_; ++i) {
-      SOC_DCHECK(o.v_[i] > 0.0);
-      r.v_[i] = v_[i] / o.v_[i];
-    }
-    return r;
-  }
-
-  /// Componentwise min/max.
-  [[nodiscard]] ResourceVector cw_min(const ResourceVector& o) const {
-    SOC_DCHECK(size_ == o.size_);
-    ResourceVector r(size_);
-    for (std::size_t i = 0; i < size_; ++i) r.v_[i] = std::min(v_[i], o.v_[i]);
-    return r;
-  }
+  /// Componentwise max.
   [[nodiscard]] ResourceVector cw_max(const ResourceVector& o) const {
     SOC_DCHECK(size_ == o.size_);
     ResourceVector r(size_);
@@ -135,14 +109,6 @@ class ResourceVector {
     return r;
   }
 
-  [[nodiscard]] double min_component() const {
-    SOC_DCHECK(size_ > 0);
-    return *std::min_element(v_.begin(), v_.begin() + size_);
-  }
-  [[nodiscard]] double max_component() const {
-    SOC_DCHECK(size_ > 0);
-    return *std::max_element(v_.begin(), v_.begin() + size_);
-  }
   [[nodiscard]] double sum() const {
     double s = 0.0;
     for (std::size_t i = 0; i < size_; ++i) s += v_[i];

@@ -91,46 +91,4 @@ double mean_ci95_halfwidth(std::size_t n, double stddev) {
   return student_t95(n - 1) * stddev / std::sqrt(static_cast<double>(n));
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  SOC_CHECK(hi > lo);
-  SOC_CHECK(bins > 0);
-}
-
-void Histogram::add(double x) {
-  // Clamp in floating point *before* any integer cast: casting a NaN,
-  // infinity, or out-of-range double to an integer type is UB, so the old
-  // cast-then-clamp order was undefined for exactly the values the clamp
-  // existed to handle.
-  if (std::isnan(x)) {
-    ++nan_;  // no bucket can honestly hold it; see header for the policy
-    return;
-  }
-  const double offset = (x - lo_) / width_;
-  std::size_t bucket;
-  if (!(offset > 0.0)) {
-    bucket = 0;  // below lo, including -inf
-  } else if (offset >= static_cast<double>(counts_.size())) {
-    bucket = counts_.size() - 1;  // at/above hi, including +inf
-  } else {
-    bucket = static_cast<std::size_t>(offset);  // in range: cast is defined
-  }
-  ++counts_[bucket];
-  ++total_;
-}
-
-std::size_t Histogram::count(std::size_t bucket) const {
-  SOC_CHECK(bucket < counts_.size());
-  return counts_[bucket];
-}
-
-double Histogram::bucket_lo(std::size_t bucket) const {
-  return lo_ + width_ * static_cast<double>(bucket);
-}
-
-double Histogram::bucket_hi(std::size_t bucket) const {
-  return bucket_lo(bucket) + width_;
-}
-
 }  // namespace soc

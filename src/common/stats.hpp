@@ -60,28 +60,4 @@ double student_t95(std::size_t dof);
 /// merger's per-config CI across repeat seeds.
 double mean_ci95_halfwidth(std::size_t n, double stddev);
 
-/// Fixed-width histogram over [lo, hi) with `bins` buckets; values outside
-/// clamp into the edge buckets (-inf lands in bucket 0, +inf in the last).
-/// NaN policy: NaN belongs to no bucket, so it is counted separately
-/// (nan_count()) and excluded from total() — silently filing it in an edge
-/// bucket would fabricate a data point.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bucket) const;
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] std::size_t nan_count() const { return nan_; }
-  [[nodiscard]] double bucket_lo(std::size_t bucket) const;
-  [[nodiscard]] double bucket_hi(std::size_t bucket) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t nan_ = 0;
-};
-
 }  // namespace soc

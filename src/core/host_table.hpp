@@ -86,9 +86,6 @@ class HostTable {
   /// to sorting the alive ids and indexing.
   [[nodiscard]] NodeId kth_alive(std::size_t k) const;
 
-  /// Cold slots currently holding a scheduler (live + detached-busy).
-  [[nodiscard]] std::size_t schedulers_live() const { return cold_.live(); }
-
   /// Bytes claimed by the SoA vectors plus the cold-scheduler slab
   /// chunks; attribution-profiler hook.  Scheduler-internal task maps
   /// are not walked — the fixed ~200-byte PsmScheduler footprint is the

@@ -2,21 +2,16 @@
 
 #include <utility>
 
-#include "src/common/assert.hpp"
-#include "src/psm/task.hpp"
-
 namespace soc::core {
 
 PidCanProtocol::PidCanProtocol(sim::Simulator& sim, net::MessageBus& bus,
                                ResourceVector cmax, PidCanOptions options,
                                Rng rng)
-    : cmax_(std::move(cmax)), options_(options), rng_(rng),
-      dims_(cmax_.size() + (options.virtual_dimension ? 1 : 0)),
-      space_(dims_, rng_.fork("can-space")),
-      index_(sim, bus, space_, options.inscan, rng_.fork("index-system")),
-      engine_(index_, options.query), bus_(bus) {
-  index_.attach_to_space();
-}
+    : CanAdapter(sim, bus, std::move(cmax), options.virtual_dimension ? 1 : 0,
+                 rng.fork("can-space"), options.inscan,
+                 rng.fork("index-system"), options.maintenance_msgs_per_join,
+                 "index.state"),
+      options_(options), rng_(rng), engine_(system_, options.query) {}
 
 std::string PidCanProtocol::name() const {
   std::string n = options_.inscan.diffusion == index::DiffusionMethod::kHopping
@@ -30,14 +25,14 @@ std::string PidCanProtocol::name() const {
 can::Point PidCanProtocol::locate(const ResourceVector& v, Rng& rng) const {
   const can::Point base = can::Point::normalized(v, cmax_);
   if (!options_.virtual_dimension) return base;
-  can::Point p(dims_);
+  can::Point p(space_.dims());
   for (std::size_t i = 0; i < base.dims(); ++i) p[i] = base[i];
-  p[dims_ - 1] = rng.uniform();
+  p[space_.dims() - 1] = rng.uniform();
   return p;
 }
 
 void PidCanProtocol::set_availability_source(AvailabilityFn fn) {
-  index_.set_availability_provider(
+  system_.set_availability_provider(
       [this, fn = std::move(fn)](NodeId id) -> std::optional<index::Record> {
         const auto avail = fn(id);
         if (!avail.has_value()) return std::nullopt;
@@ -45,78 +40,10 @@ void PidCanProtocol::set_availability_source(AvailabilityFn fn) {
         r.provider = id;
         r.availability = *avail;
         r.location = locate(*avail, rng_);
-        r.published_at = index_.simulator().now();
+        r.published_at = system_.simulator().now();
         r.expires_at = r.published_at + options_.inscan.record_ttl;
         return r;
       });
-}
-
-void PidCanProtocol::on_join(NodeId id) {
-  space_.join(id);
-  index_.add_node(id);
-  // Account the join's overlay maintenance traffic: the join request routes
-  // to the split node and the new neighbor set is notified.
-  const std::size_t msgs =
-      options_.maintenance_msgs_per_join + space_.neighbors_of(id).size();
-  for (std::size_t i = 0; i < msgs; ++i) {
-    bus_.stats().on_synthetic_send(id, net::MsgType::kMaintenance, 64);
-  }
-  // Fresh members publish immediately so they become discoverable before
-  // the first periodic update.
-  index_.publish_now(id);
-}
-
-void PidCanProtocol::leave_overlay(NodeId id) {
-  const std::size_t msgs = space_.neighbors_of(id).size();
-  index_.remove_node(id);
-  space_.leave(id);
-  for (std::size_t i = 0; i < msgs; ++i) {
-    bus_.stats().on_synthetic_send(id, net::MsgType::kMaintenance, 64);
-  }
-}
-
-void PidCanProtocol::on_leave(NodeId id) {
-  // Death drops any parked partition state: there is no host left to rejoin.
-  parked_.erase(id);
-  if (!space_.contains(id)) return;
-  leave_overlay(id);
-}
-
-void PidCanProtocol::on_partition_out(NodeId id) {
-  if (!space_.contains(id)) return;
-  SOC_CHECK(!parked_.contains(id));
-  // Park the INSCAN state *before* teardown: remove_node then finds empty
-  // moved-from state and re-homes nothing to the takeover node.
-  parked_.emplace(id, index_.park_node(id));
-  leave_overlay(id);
-}
-
-void PidCanProtocol::on_rejoin(NodeId id) {
-  const auto it = parked_.find(id);
-  if (it == parked_.end()) {
-    // Nothing parked (e.g. partitioned before any state existed): fresh join.
-    on_join(id);
-    return;
-  }
-  index::IndexSystem::ParkedNode parked = std::move(it->second);
-  parked_.erase(it);
-  space_.join(id);
-  index_.restore_node(id, std::move(parked));
-  // Rejoin pays the same overlay-maintenance bill as a join: the zone
-  // re-split routes and the new neighbor set is notified.
-  const std::size_t msgs =
-      options_.maintenance_msgs_per_join + space_.neighbors_of(id).size();
-  for (std::size_t i = 0; i < msgs; ++i) {
-    bus_.stats().on_synthetic_send(id, net::MsgType::kMaintenance, 64);
-  }
-  index_.publish_now(id);
-}
-
-std::vector<NodeId> PidCanProtocol::parked_ids() const {
-  std::vector<NodeId> out;
-  out.reserve(parked_.size());
-  for (const auto& [id, state] : parked_) out.push_back(id);
-  return out;
 }
 
 StaleDebt PidCanProtocol::stale_debt(
@@ -124,7 +51,7 @@ StaleDebt PidCanProtocol::stale_debt(
   StaleDebt debt;
   auto& self = const_cast<PidCanProtocol&>(*this);
   for (const NodeId owner : space_.member_ids()) {
-    for (const index::Record& r : self.index_.cache(owner).all_live(now)) {
+    for (const index::Record& r : self.system_.cache(owner).all_live(now)) {
       if (!reachable(r.provider)) {
         ++debt.dead_provider;
       } else if (space_.owner_of(r.location) != owner) {
@@ -135,16 +62,12 @@ StaleDebt PidCanProtocol::stale_debt(
   return debt;
 }
 
-void PidCanProtocol::republish(NodeId id) {
-  if (space_.contains(id)) index_.publish_now(id);
-}
-
 std::size_t PidCanProtocol::discoverable(const ResourceVector& demand,
                                          SimTime now) const {
   std::size_t n = 0;
   auto& self = const_cast<PidCanProtocol&>(*this);
   for (const NodeId id : space_.member_ids()) {
-    n += self.index_.cache(id).qualified_count(demand, now);
+    n += self.system_.cache(id).qualified_count(demand, now);
   }
   return n;
 }

@@ -8,7 +8,8 @@ namespace soc::gossip {
 
 NewscastSystem::NewscastSystem(sim::Simulator& sim, net::MessageBus& bus,
                                NewscastConfig config, Rng rng)
-    : sim_(sim), bus_(bus), config_(config), rng_(rng) {
+    : sim_(sim), bus_(bus), config_(config), rng_(rng),
+      queries_(sim, config.query_timeout) {
   SOC_CHECK(config_.view_size >= 1);
 }
 
@@ -116,65 +117,40 @@ void NewscastSystem::gossip_now(NodeId id) {
             });
 }
 
-void NewscastSystem::finish(std::uint64_t qid) {
-  const auto it = pending_.find(qid);
-  if (it == pending_.end()) return;
-  Pending p = std::move(it->second);
-  pending_.erase(it);
-  sim_.cancel(p.timeout);
-  if (p.results.size() >= p.want) {
-    ++stats_.satisfied;
-  } else if (p.results.empty()) {
-    ++stats_.failed;
-  }
-  stats_.delay_seconds.add(to_seconds(sim_.now() - p.submitted_at));
-  if (p.cb) p.cb(std::move(p.results));
-}
-
 void NewscastSystem::query(NodeId requester, const ResourceVector& demand,
                            std::size_t want, Callback cb) {
-  const std::uint64_t qid = next_qid_++;
-  Pending p;
-  p.requester = requester;
-  p.demand = demand;
-  p.want = want;
-  p.cb = std::move(cb);
-  p.submitted_at = sim_.now();
-  p.timeout = sim_.schedule_after(config_.query_timeout,
-                                  [this, qid] { finish(qid); });
-  pending_.emplace(qid, std::move(p));
-  ++stats_.queries;
+  const std::uint64_t qid =
+      queries_.begin(requester, demand, want, std::move(cb));
   query_hop(qid, requester, config_.query_forward_ttl);
 }
 
 void NewscastSystem::query_hop(std::uint64_t qid, NodeId at,
                                std::size_t ttl) {
-  const auto pit = pending_.find(qid);
-  if (pit == pending_.end()) return;
-  Pending& p = pit->second;
+  query::PendingQueries::Query* q = queries_.find(qid);
+  if (q == nullptr) return;
   const auto* view = views_.find(at);
   if (view == nullptr) return;  // hop churned out; timeout closes
 
   // Scan the local partial view for fresh qualified entries.
   for (const ViewEntry& e : *view) {
     if ((sim_.now() - e.heard_at) >= config_.entry_ttl) continue;
-    if (!e.availability.dominates(p.demand)) continue;
-    if (!p.seen.insert(e.id).second) continue;
-    p.results.push_back(Discovered{e.id, e.availability});
+    if (!e.availability.dominates(q->demand)) continue;
+    q->add(e.id, e.availability);
   }
-  if (p.results.size() >= p.want || ttl == 0) {
-    if (at == p.requester || p.results.size() >= p.want) {
-      finish(qid);
+  if (q->satisfied() || ttl == 0) {
+    if (at == q->requester || q->satisfied()) {
+      queries_.finish(qid);
     } else {
       // Results live with the engine; a real deployment ships them back in
       // one message, which we account for here.
-      bus_.send(at, p.requester, net::MsgType::kFoundNotice,
-                config_.query_msg_bytes, [this, qid] { finish(qid); });
+      bus_.send(at, q->requester, net::MsgType::kFoundNotice,
+                config_.query_msg_bytes,
+                [this, qid] { queries_.finish(qid); });
     }
     return;
   }
   if (view->empty()) {
-    finish(qid);
+    queries_.finish(qid);
     return;
   }
   const NodeId next = (*view)[rng_.pick_index(view->size())].id;

@@ -8,15 +8,13 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/dense_node_map.hpp"
 #include "src/common/resource_vector.hpp"
 #include "src/common/rng.hpp"
-#include "src/common/stats.hpp"
 #include "src/net/message_bus.hpp"
+#include "src/query/pending.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace soc::gossip {
@@ -45,7 +43,7 @@ class NewscastSystem {
  public:
   using AvailabilityProvider =
       std::function<std::optional<ResourceVector>(NodeId)>;
-  using Callback = std::function<void(std::vector<Discovered>)>;
+  using Callback = query::PendingQueries::Callback;
 
   NewscastSystem(sim::Simulator& sim, net::MessageBus& bus,
                  NewscastConfig config, Rng rng);
@@ -88,33 +86,16 @@ class NewscastSystem {
 
   [[nodiscard]] const std::vector<ViewEntry>& view_of(NodeId id) const;
   [[nodiscard]] const NewscastConfig& config() const { return config_; }
-
-  struct Stats {
-    std::uint64_t queries = 0;
-    std::uint64_t satisfied = 0;
-    std::uint64_t failed = 0;
-    RunningStats delay_seconds;
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
+  [[nodiscard]] const query::QueryStats& stats() const {
+    return queries_.stats();
+  }
 
  private:
-  struct Pending {
-    NodeId requester;
-    ResourceVector demand;
-    std::size_t want;
-    std::vector<Discovered> results;
-    std::unordered_set<NodeId> seen;
-    sim::EventHandle timeout;
-    Callback cb;
-    SimTime submitted_at;
-  };
-
   /// Merge incoming entries into a view: freshest per node, newest first,
   /// truncated to view_size.
   void merge_view(NodeId owner, const std::vector<ViewEntry>& incoming);
   void start_periodic(NodeId id);
   std::vector<ViewEntry> snapshot_with_self(NodeId id);
-  void finish(std::uint64_t qid);
   void query_hop(std::uint64_t qid, NodeId at, std::size_t ttl);
 
   sim::Simulator& sim_;
@@ -123,9 +104,7 @@ class NewscastSystem {
   Rng rng_;
   AvailabilityProvider provider_;
   DenseNodeMap<std::vector<ViewEntry>> views_;  ///< dense by NodeId
-  std::unordered_map<std::uint64_t, Pending> pending_;
-  std::uint64_t next_qid_ = 1;
-  Stats stats_;
+  query::PendingQueries queries_;
 };
 
 }  // namespace soc::gossip

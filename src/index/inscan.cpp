@@ -10,22 +10,14 @@ namespace soc::index {
 
 IndexSystem::IndexSystem(sim::Simulator& sim, net::MessageBus& bus,
                          can::CanSpace& space, InscanConfig config, Rng rng)
-    : sim_(sim), bus_(bus), space_(space), config_(config), rng_(rng) {
+    : sim_(sim), bus_(bus), space_(space), config_(config), rng_(rng),
+      router_(space, bus, Fingers{this}) {
   SOC_CHECK(config_.index_fanout_L >= 1);
-}
-
-void IndexSystem::attach_to_space() {
   can::CanSpace::Listener listener;
   listener.on_rehome = [this](NodeId from, NodeId to) {
     if (!state_.contains(from)) return;
-    // Move the records that now belong to `to`'s zone.  When `from` is no
-    // longer a member (departure) everything moves.
-    std::vector<Record> moved;
-    if (space_.contains(from) && space_.contains(to)) {
-      moved = cache(from).extract_in_zone(space_.zone_of(to), sim_.now());
-    } else {
-      moved = cache(from).extract_all();
-    }
+    const std::vector<Record> moved =
+        extract_rehomed(cache(from), space_, from, to, sim_.now());
     RecordStore& dst = cache(to);
     for (const Record& r : moved) dst.put(r);
   };
@@ -67,39 +59,30 @@ void IndexSystem::remove_node(NodeId id) {
 
 IndexSystem::ParkedNode IndexSystem::park_node(NodeId id) {
   SOC_CHECK(state_.contains(id));
-  NodeState& st = state(id);
   // Moved-from sub-objects are left empty, so the departure teardown that
   // follows re-homes nothing to the takeover node.
-  return ParkedNode{std::move(st.cache), std::move(st.pi),
-                    std::move(st.table), st.rng};
+  return std::move(state(id));
 }
 
 void IndexSystem::restore_node(NodeId id, ParkedNode parked) {
   SOC_CHECK(space_.contains(id));
-  parked.cache.prune(sim_.now());
-  // Keep what the node's new zone still covers; everything else goes back
-  // through the normal state-update routing to its current duty node.
-  std::vector<Record> keep =
-      parked.cache.extract_in_zone(space_.zone_of(id), sim_.now());
-  std::vector<Record> reroute = parked.cache.extract_all();
-  for (const Record& r : keep) parked.cache.put(r);
   // The CanSpace join that preceded this restore split a zone, and the
   // rehome listener materialized a fresh NodeState to receive the split
-  // zone's records — fold those into the parked cache (they are in-zone
-  // by construction) and resume on the parked state.
+  // zone's records; the node resumes on its parked state instead.
+  RecordStore split;
   if (NodeState* fresh = state_.find(id)) {
-    for (const Record& r : fresh->cache.extract_all()) parked.cache.put(r);
+    split = std::move(fresh->cache);
     state_.erase(id);
   }
-  state_.emplace(id, NodeState{std::move(parked.cache), std::move(parked.pi),
-                               std::move(parked.table), parked.rng});
-  for (const Record& r : reroute) {
-    route(id, r.location, net::MsgType::kStateUpdate, config_.state_msg_bytes,
-          [this, r](NodeId duty) {
-            if (!state_.contains(duty)) return;
-            cache(duty).put(r);
-          });
-  }
+  NodeState& st = state_.emplace(id, std::move(parked));
+  reconcile_parked(st.cache, std::move(split), space_.zone_of(id),
+                   sim_.now(), [this, id](const Record& r) {
+                     route(id, r.location, net::MsgType::kStateUpdate,
+                           config_.state_msg_bytes, [this, r](NodeId duty) {
+                             if (!state_.contains(duty)) return;
+                             cache(duty).put(r);
+                           });
+                   });
   // The parked index table is stale (the neighborhood changed while cut
   // off); bootstrap probes rebuild it like a join, and stale fingers are
   // skipped by routing's contains() guards until then.
@@ -180,76 +163,11 @@ void IndexSystem::start_periodics(NodeId id) {
 // ---------------------------------------------------------------------------
 // Greedy routing (CAN neighbors plus index-table fingers)
 
-// Everything a multi-hop route needs, allocated once per route; hop
-// closures capture only {this, ctx, at, ttl} and stay inside the InlineFn
-// small buffer.
-struct IndexSystem::RouteCtx {
-  can::Point target;
-  net::MsgType type;
-  std::size_t bytes;
-  ArriveFn on_arrive;
-};
-
 void IndexSystem::route(NodeId from, const can::Point& target,
                         net::MsgType type, std::size_t bytes,
                         ArriveFn on_arrive) {
-  auto ctx = std::make_shared<RouteCtx>(
-      RouteCtx{target, type, bytes, std::move(on_arrive)});
-  route_step(from, config_.route_ttl, ctx);
-}
-
-void IndexSystem::route_step(NodeId at, std::size_t ttl,
-                             const std::shared_ptr<RouteCtx>& ctx) {
-  const can::Point& target = ctx->target;
-  const can::ZoneRow here = space_.row_of(at);
-  if (!here) return;  // current hop churned out: message lost
-  // Greedy choice over adjacent neighbors plus index fingers, ranked by
-  // (containment, box distance, center distance, id) — the strictly
-  // decreasing key avoids cycles and resolves corner/boundary plateaus
-  // (see CanSpace::next_hop).  The neighbor scan prunes via the cached
-  // abutting-dimension metadata; a containing candidate ends the scan
-  // (nothing can displace a zone that owns the target).  A route of any
-  // type that is dropped here leaves a `route` tracer instant.
-  NodeId best;
-  double best_d = 0.0;
-  double best_c = 0.0;
-  if (can::seed_toward(here, target, best_d, best_c)) {
-    ctx->on_arrive(at);
-    return;
-  }
-  if (ttl == 0) {
-    if (obs::Tracer* t = obs::tracer()) {
-      t->instant("route", "ttl_exhausted", sim_.now(), "at", at.value);
-    }
-    return;
-  }
-  bool contained =
-      space_.scan_neighbors_toward(at, target, best, best_d, best_c);
-  const NodeState* st = state_.find(at);
-  if (!contained && st != nullptr) {
-    // One lookup per finger: row_of() is null for a finger that has left.
-    st->table.for_each_live(sim_.now(), [&](const IndexTable::Entry& e) {
-      if (contained || e.id == at) return;
-      if (const can::ZoneRow row = space_.row_of(e.id)) {
-        contained = can::rank_toward(row, e.id, target, best, best_d, best_c);
-      }
-    });
-  }
-  if (!best.valid()) {
-    if (obs::Tracer* t = obs::tracer()) {
-      t->instant("route", "stalled", sim_.now(), "at", at.value);
-    }
-    return;
-  }
-  // Trace query routing hops only — periodic state updates route too and
-  // would swamp the trace with O(nodes/period) events.
-  if (ctx->type == net::MsgType::kDutyQuery) {
-    if (obs::Tracer* t = obs::tracer()) {
-      t->instant("route", "hop", sim_.now(), "to", best.value);
-    }
-  }
-  bus_.send(at, best, ctx->type, ctx->bytes,
-            [this, ctx, best, ttl] { route_step(best, ttl - 1, ctx); });
+  router_.route(from, target, type, bytes, config_.route_ttl,
+                std::move(on_arrive));
 }
 
 // ---------------------------------------------------------------------------

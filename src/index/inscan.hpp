@@ -22,9 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "src/can/router.hpp"
 #include "src/can/space.hpp"
 #include "src/common/dense_node_map.hpp"
-#include "src/common/inline_fn.hpp"
 #include "src/index/index_table.hpp"
 #include "src/index/pi_list.hpp"
 #include "src/index/record.hpp"
@@ -79,16 +79,17 @@ class IndexSystem {
   /// publish; nullopt suppresses the update (e.g. node busy joining).
   using AvailabilityProvider =
       std::function<std::optional<Record>(NodeId)>;
+  using Config = InscanConfig;
 
+  /// Installs the CanSpace listener, so records re-home on zone changes.
   IndexSystem(sim::Simulator& sim, net::MessageBus& bus, can::CanSpace& space,
               InscanConfig config, Rng rng);
+  IndexSystem(const IndexSystem&) = delete;
+  IndexSystem& operator=(const IndexSystem&) = delete;
 
   void set_availability_provider(AvailabilityProvider provider) {
     provider_ = std::move(provider);
   }
-
-  /// Hook the CanSpace listener so records re-home on zone changes.
-  void attach_to_space();
 
   /// Start protocol state and periodic processes for a member (the node
   /// must already be in the CanSpace).
@@ -101,15 +102,20 @@ class IndexSystem {
     return std::max(state_.span_ratio(), last_location_.span_ratio());
   }
 
-  /// A partitioned-out member's protocol state, extracted by park_node()
-  /// before the overlay teardown and handed back to restore_node() at heal
-  /// time.  The RNG rides along so the node's draw stream survives the cut.
-  struct ParkedNode {
+  /// A member's protocol state.  park_node() extracts it whole before a
+  /// partition teardown and restore_node() takes it back at heal time; the
+  /// RNG rides along so the node's draw stream survives the cut.
+  struct NodeState {
     RecordStore cache;
     PiList pi;
     IndexTable table;
     Rng rng;
+
+    [[nodiscard]] std::size_t mem_bytes() const {
+      return cache.mem_bytes() + pi.mem_bytes() + table.mem_bytes();
+    }
   };
+  using ParkedNode = NodeState;
 
   /// Extract `id`'s full NodeState ahead of a partition teardown.  The
   /// caller runs the normal departure path next (remove_node + space
@@ -120,24 +126,22 @@ class IndexSystem {
 
   /// Re-enter `id` (already re-joined to the CanSpace) with its parked
   /// stale state.  Reconciliation rides the existing maintenance paths:
-  /// expired records are pruned, records the node's new zone no longer
-  /// covers are re-routed to their current duty nodes as ordinary state
-  /// updates, the stale index table refreshes via bootstrap probes, and
-  /// the periodic processes restart on the parked RNG stream.
+  /// the duty cache goes through reconcile_parked() (out-of-zone records
+  /// re-route as ordinary state updates), the stale index table refreshes
+  /// via bootstrap probes, and the periodic processes restart on the
+  /// parked RNG stream.
   void restore_node(NodeId id, ParkedNode parked);
 
   [[nodiscard]] RecordStore& cache(NodeId id);
   [[nodiscard]] PiList& pi_list(NodeId id);
   [[nodiscard]] IndexTable& table(NodeId id);
 
-  using ArriveFn = InlineFn<void(NodeId)>;
+  using ArriveFn = can::ArriveFn;
 
-  /// Route a message greedily toward `target`, one bus message per hop;
-  /// `on_arrive` runs at the owner of the target point.  The index tables
-  /// serve as additional fingers beside the CAN neighbors (INSCAN's
-  /// O(log² n) routing).
-  /// The route allocates once (shared target/callback context); every
-  /// per-hop forwarding closure stays inside the event-queue slab.
+  /// Route a message greedily toward `target` with can::GreedyRouter and
+  /// the route TTL; `on_arrive` runs at the owner of the target point.
+  /// The index tables serve as additional fingers beside the CAN
+  /// neighbors (INSCAN's O(log² n) routing).
   void route(NodeId from, const can::Point& target, net::MsgType type,
              std::size_t bytes, ArriveFn on_arrive);
 
@@ -184,7 +188,7 @@ class IndexSystem {
                     dir_scratch_.capacity() * sizeof(NodeId);
     for (const auto& [id, st] : state_) {
       (void)id;
-      b += st.cache.mem_bytes() + st.pi.mem_bytes() + st.table.mem_bytes();
+      b += st.mem_bytes();
     }
     return b;
   }
@@ -195,17 +199,29 @@ class IndexSystem {
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
  private:
-  struct NodeState {
-    RecordStore cache;
-    PiList pi;
-    IndexTable table;
-    Rng rng;
+  /// The routing hook: live index-table entries as extra candidates.
+  /// Defined here so the router's hop inlines it.
+  struct Fingers {
+    IndexSystem* self;
+    void operator()(NodeId at, const can::Point& target, NodeId& best,
+                    double& best_d, double& best_c) const {
+      const NodeState* st = self->state_.find(at);
+      if (st == nullptr) return;
+      // One lookup per finger: row_of() is null for a finger that has
+      // left; a containing finger ends the scan.
+      bool contained = false;
+      const SimTime now = self->sim_.now();
+      st->table.for_each_live(now, [&](const IndexTable::Entry& e) {
+        if (contained || e.id == at) return;
+        if (const can::ZoneRow row = self->space_.row_of(e.id)) {
+          contained = can::rank_toward(row, e.id, target, best, best_d, best_c);
+        }
+      });
+    }
   };
 
-  struct RouteCtx;
-
   /// One directional probe walk's state, shared across its hop closures
-  /// (allocated once per walk, like RouteCtx) so every per-hop closure is
+  /// (allocated once per walk, like a route) so every per-hop closure is
   /// {this, walk, next} and stays inside the 48-byte InlineFn buffer — no
   /// heap fallback per probe hop.
   struct ProbeWalk {
@@ -220,8 +236,6 @@ class IndexSystem {
 
   NodeState& state(NodeId id);
   void start_periodics(NodeId id);
-  void route_step(NodeId at, std::size_t ttl,
-                  const std::shared_ptr<RouteCtx>& ctx);
   void handle_diffuse(NodeId at, NodeId subject, std::size_t dim,
                       std::size_t ttl);
   /// SID spreading: emit L next-dimension messages from `at` (the sender
@@ -244,6 +258,7 @@ class IndexSystem {
   /// the next refill).
   std::vector<NodeId> dir_scratch_;
   Activity activity_;
+  can::GreedyRouter<Fingers> router_;
 };
 
 }  // namespace soc::index

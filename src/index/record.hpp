@@ -10,6 +10,10 @@
 #include "src/common/resource_vector.hpp"
 #include "src/common/types.hpp"
 
+namespace soc::can {
+class CanSpace;
+}  // namespace soc::can
+
 namespace soc::index {
 
 /// One advertised availability vector.  `location` is the CAN point the
@@ -117,5 +121,29 @@ class RecordStore {
   std::vector<Record> slab_;           // stable record storage
   std::vector<std::uint32_t> free_;    // recycled slab slots (LIFO)
 };
+
+/// The records of `from`'s duty cache that `to` owns after a CanSpace
+/// rehome: those inside `to`'s zone, or all of them once either node has
+/// left the overlay.  Both CAN protocols file records by this rule.
+[[nodiscard]] std::vector<Record> extract_rehomed(RecordStore& from_cache,
+                                                  const can::CanSpace& space,
+                                                  NodeId from, NodeId to,
+                                                  SimTime now);
+
+/// Heal-time reconcile of a partitioned node's parked duty cache, after the
+/// node rejoined with `zone`: drops expired records, keeps the ones `zone`
+/// covers, folds in `split` (the records the rejoin's zone split already
+/// handed the node, in-zone by construction) and passes every other record
+/// to `reroute`, which sends it to its current duty node.
+template <class Reroute>
+void reconcile_parked(RecordStore& cache, RecordStore split,
+                      const can::Zone& zone, SimTime now, Reroute reroute) {
+  cache.prune(now);
+  const std::vector<Record> keep = cache.extract_in_zone(zone, now);
+  const std::vector<Record> rest = cache.extract_all();
+  for (const Record& r : keep) cache.put(r);
+  for (const Record& r : split.extract_all()) cache.put(r);
+  for (const Record& r : rest) reroute(r);
+}
 
 }  // namespace soc::index

@@ -4,18 +4,13 @@ namespace soc::khdn {
 
 KhdnSystem::KhdnSystem(sim::Simulator& sim, net::MessageBus& bus,
                        can::CanSpace& space, KhdnConfig config, Rng rng)
-    : sim_(sim), bus_(bus), space_(space), config_(config), rng_(rng) {}
-
-void KhdnSystem::attach_to_space() {
+    : sim_(sim), bus_(bus), space_(space), config_(config), rng_(rng),
+      queries_(sim, config.query_timeout), router_(space, bus) {
   can::CanSpace::Listener listener;
   listener.on_rehome = [this](NodeId from, NodeId to) {
     if (!caches_.contains(from)) return;
-    std::vector<index::Record> moved;
-    if (space_.contains(from) && space_.contains(to)) {
-      moved = cache(from).extract_in_zone(space_.zone_of(to), sim_.now());
-    } else {
-      moved = cache(from).extract_all();
-    }
+    const std::vector<index::Record> moved =
+        index::extract_rehomed(cache(from), space_, from, to, sim_.now());
     index::RecordStore& dst = cache(to);
     for (const auto& r : moved) dst.put(r);
   };
@@ -55,29 +50,26 @@ index::RecordStore KhdnSystem::park_node(NodeId id) {
   return std::move(caches_.at(id));
 }
 
-void KhdnSystem::restore_node(NodeId id, index::RecordStore store) {
+void KhdnSystem::restore_node(NodeId id, index::RecordStore parked) {
   SOC_CHECK(space_.contains(id));
-  store.prune(sim_.now());
-  std::vector<index::Record> keep =
-      store.extract_in_zone(space_.zone_of(id), sim_.now());
-  std::vector<index::Record> reroute = store.extract_all();
-  for (const auto& r : keep) store.put(r);
   // The CanSpace join that preceded this restore split a zone, and the
-  // rehome listener materialized a fresh cache to receive the split
-  // zone's records — fold those in (in-zone by construction).
+  // rehome listener materialized a fresh cache to receive the split zone's
+  // records; the node resumes on its parked cache instead.
+  index::RecordStore split;
   if (index::RecordStore* fresh = caches_.find(id)) {
-    for (const auto& r : fresh->extract_all()) store.put(r);
+    split = std::move(*fresh);
     caches_.erase(id);
   }
-  caches_.emplace(id, std::move(store));
-  for (const auto& r : reroute) {
-    can::route_greedy(space_, bus_, id, r.location,
-                      net::MsgType::kStateUpdate, config_.state_msg_bytes,
-                      config_.route_ttl, [this, r](NodeId duty) {
+  index::reconcile_parked(
+      caches_.emplace(id, std::move(parked)), std::move(split),
+      space_.zone_of(id), sim_.now(), [this, id](const index::Record& r) {
+        router_.route(id, r.location, net::MsgType::kStateUpdate,
+                      config_.state_msg_bytes, config_.route_ttl,
+                      [this, r](NodeId duty) {
                         if (!caches_.contains(duty)) return;
                         cache(duty).put(r);
                       });
-  }
+      });
   start_periodic(id);
 }
 
@@ -109,13 +101,13 @@ void KhdnSystem::publish_now(NodeId id) {
   // Stamp freshness here so providers need not know the TTL policy.
   record->published_at = sim_.now();
   record->expires_at = sim_.now() + config_.record_ttl;
-  can::route_greedy(space_, bus_, id, record->location,
-                    net::MsgType::kStateUpdate, config_.state_msg_bytes,
-                    config_.route_ttl, [this, r = *record](NodeId duty) {
-                      if (!caches_.contains(duty)) return;
-                      cache(duty).put(r);
-                      spread(duty, r, config_.k_hops);
-                    });
+  router_.route(id, record->location, net::MsgType::kStateUpdate,
+                config_.state_msg_bytes, config_.route_ttl,
+                [this, r = *record](NodeId duty) {
+                  if (!caches_.contains(duty)) return;
+                  cache(duty).put(r);
+                  spread(duty, r, config_.k_hops);
+                });
 }
 
 void KhdnSystem::spread(NodeId at, const index::Record& record,
@@ -137,65 +129,45 @@ void KhdnSystem::spread(NodeId at, const index::Record& record,
   }
 }
 
-void KhdnSystem::finish(std::uint64_t qid) {
-  const auto it = pending_.find(qid);
-  if (it == pending_.end()) return;
-  Pending p = std::move(it->second);
-  pending_.erase(it);
-  sim_.cancel(p.timeout);
-  if (p.cb) p.cb(std::move(p.results));
-}
-
 void KhdnSystem::query(NodeId requester, const ResourceVector& demand,
                        const can::Point& target, std::size_t want,
                        Callback cb) {
-  const std::uint64_t qid = next_qid_++;
-  Pending p;
-  p.requester = requester;
-  p.demand = demand;
-  p.want = want;
-  p.cb = std::move(cb);
-  p.timeout = sim_.schedule_after(config_.query_timeout,
-                                  [this, qid] { finish(qid); });
-  pending_.emplace(qid, std::move(p));
-
-  can::route_greedy(space_, bus_, requester, target, net::MsgType::kDutyQuery,
-                    config_.query_msg_bytes, config_.route_ttl,
-                    [this, qid](NodeId duty) {
-                      const auto it = pending_.find(qid);
-                      if (it == pending_.end()) return;
-                      it->second.visited.insert(duty);
-                      it->second.outstanding = 1;
-                      scan_visit(qid, duty, config_.k_hops);
-                    });
+  const std::uint64_t qid =
+      queries_.begin(requester, demand, want, std::move(cb));
+  router_.route(requester, target, net::MsgType::kDutyQuery,
+                config_.query_msg_bytes, config_.route_ttl,
+                [this, qid](NodeId duty) {
+                  query::PendingQueries::Query* q = queries_.find(qid);
+                  if (q == nullptr) return;
+                  q->reached.insert(duty);
+                  q->outstanding = 1;
+                  scan_visit(qid, duty, config_.k_hops);
+                });
 }
 
 void KhdnSystem::scan_visit(std::uint64_t qid, NodeId at,
                             std::size_t hops_left) {
-  const auto it = pending_.find(qid);
-  if (it == pending_.end()) return;
-  Pending& p = it->second;
-  SOC_CHECK(p.outstanding > 0);
-  --p.outstanding;
+  query::PendingQueries::Query* q = queries_.find(qid);
+  if (q == nullptr) return;
+  SOC_CHECK(q->outstanding > 0);
+  --q->outstanding;
 
   if (caches_.contains(at)) {
     // Harvest local qualified records (reused scratch, ascending provider
     // order); one notice message back covers the traffic of returning them.
     std::vector<index::Record>& qualified = record_scratch_;
-    cache(at).qualified_into(p.demand, sim_.now(), qualified);
+    cache(at).qualified_into(q->demand, sim_.now(), qualified);
     std::size_t fresh = 0;
     for (const auto& r : qualified) {
-      if (p.results.size() >= p.want) break;
-      if (!p.seen_providers.insert(r.provider).second) continue;
-      p.results.push_back(Discovered{r.provider, r.availability});
-      ++fresh;
+      if (q->satisfied()) break;
+      if (q->add(r.provider, r.availability)) ++fresh;
     }
     if (fresh > 0) {
-      bus_.send(at, p.requester, net::MsgType::kFoundNotice,
+      bus_.send(at, q->requester, net::MsgType::kFoundNotice,
                 config_.notice_msg_bytes, [] {});
     }
-    if (p.results.size() >= p.want) {
-      finish(qid);
+    if (q->satisfied()) {
+      queries_.finish(qid);
       return;
     }
     // Expand to *sampled* positive neighbors within the K-hop radius: one
@@ -208,8 +180,8 @@ void KhdnSystem::scan_visit(std::uint64_t qid, NodeId at,
                                      dir_scratch_);
         if (dir_scratch_.empty()) continue;
         const NodeId n = dir_scratch_[rng_.pick_index(dir_scratch_.size())];
-        if (!p.visited.insert(n).second) continue;
-        ++p.outstanding;
+        if (!q->reached.insert(n).second) continue;
+        ++q->outstanding;
         bus_.send(at, n, net::MsgType::kDutyQuery, config_.query_msg_bytes,
                   [this, qid, n, hops_left] {
                     scan_visit(qid, n, hops_left - 1);
@@ -217,7 +189,7 @@ void KhdnSystem::scan_visit(std::uint64_t qid, NodeId at,
       }
     }
   }
-  if (p.outstanding == 0) finish(qid);
+  if (q->outstanding == 0) queries_.finish(qid);
 }
 
 }  // namespace soc::khdn

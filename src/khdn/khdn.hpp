@@ -10,16 +10,14 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/can/router.hpp"
 #include "src/can/space.hpp"
 #include "src/common/dense_node_map.hpp"
-#include "src/common/stats.hpp"
 #include "src/index/record.hpp"
 #include "src/net/message_bus.hpp"
+#include "src/query/pending.hpp"
 #include "src/sim/simulator.hpp"
 
 namespace soc::khdn {
@@ -40,17 +38,20 @@ class KhdnSystem {
  public:
   using AvailabilityProvider =
       std::function<std::optional<index::Record>(NodeId)>;
-  using Callback = std::function<void(std::vector<Discovered>)>;
+  using Callback = query::PendingQueries::Callback;
+  using Config = KhdnConfig;
+  /// A partitioned-out member's state: its duty cache.
+  using ParkedNode = index::RecordStore;
 
+  /// Installs the CanSpace listener, so records re-home on zone changes.
   KhdnSystem(sim::Simulator& sim, net::MessageBus& bus, can::CanSpace& space,
              KhdnConfig config, Rng rng);
+  KhdnSystem(const KhdnSystem&) = delete;
+  KhdnSystem& operator=(const KhdnSystem&) = delete;
 
   void set_availability_provider(AvailabilityProvider p) {
     provider_ = std::move(p);
   }
-
-  /// Hook record re-homing into the CanSpace listener.
-  void attach_to_space();
 
   void add_node(NodeId id);
   void remove_node(NodeId id);
@@ -73,10 +74,9 @@ class KhdnSystem {
   /// runs the normal departure path next, which then re-homes nothing).
   [[nodiscard]] index::RecordStore park_node(NodeId id);
   /// Re-enter `id` (already re-joined to the CanSpace) with its parked
-  /// stale cache: expired records are pruned, records outside the new zone
-  /// are re-routed to their current duty nodes as plain state updates (no
-  /// K-hop re-spread — reconciliation is unicast), and the periodic
-  /// publisher restarts.
+  /// stale cache: index::reconcile_parked() re-routes the records outside
+  /// the new zone as plain state updates (no K-hop re-spread —
+  /// reconciliation is unicast), and the periodic publisher restarts.
   void restore_node(NodeId id, index::RecordStore cache);
 
   /// Note: materializes an empty cache for an untracked id (join path);
@@ -100,22 +100,9 @@ class KhdnSystem {
              const can::Point& target, std::size_t want, Callback cb);
 
  private:
-  struct Pending {
-    NodeId requester;
-    ResourceVector demand;
-    std::size_t want;
-    std::vector<Discovered> results;
-    std::unordered_set<NodeId> seen_providers;
-    std::unordered_set<NodeId> visited;
-    std::size_t outstanding = 0;
-    sim::EventHandle timeout;
-    Callback cb;
-  };
-
   void start_periodic(NodeId id);
   void spread(NodeId at, const index::Record& record, std::size_t hops_left);
   void scan_visit(std::uint64_t qid, NodeId at, std::size_t hops_left);
-  void finish(std::uint64_t qid);
 
   sim::Simulator& sim_;
   net::MessageBus& bus_;
@@ -128,8 +115,8 @@ class KhdnSystem {
   std::vector<NodeId> dir_scratch_;
   /// Scratch for allocation-free qualified-record harvests.
   std::vector<index::Record> record_scratch_;
-  std::unordered_map<std::uint64_t, Pending> pending_;
-  std::uint64_t next_qid_ = 1;
+  query::PendingQueries queries_;
+  can::GreedyRouter<> router_;
 };
 
 }  // namespace soc::khdn

@@ -157,9 +157,6 @@ class MessageBus {
   void set_time_profiler(obs::TimeProfiler* profiler) {
     profiler_ = profiler;
   }
-  [[nodiscard]] const obs::TimeProfiler* time_profiler() const {
-    return profiler_;
-  }
 
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 

@@ -22,57 +22,15 @@ NodeId take_random(std::vector<NodeId>& v, Rng& rng) {
 
 QueryEngine::QueryEngine(index::IndexSystem& index, QueryConfig config)
     : index_(index), config_(config),
+      queries_(index.simulator(), config.timeout),
       rng_(index.simulator().rng().fork("query-engine")) {}
-
-std::uint64_t QueryEngine::begin_query(NodeId requester,
-                                       const ResourceVector& demand,
-                                       std::size_t want, Callback cb) {
-  const std::uint64_t qid = next_qid_++;
-  Pending p;
-  p.requester = requester;
-  p.demand = demand;
-  p.want = want;
-  p.cb = std::move(cb);
-  p.submitted_at = index_.simulator().now();
-  p.timeout = index_.simulator().schedule_after(
-      config_.timeout, [this, qid] { finish(qid); });
-  pending_.emplace(qid, std::move(p));
-  ++stats_.submitted;
-  if (obs::Tracer* t = obs::tracer()) {
-    t->begin("query", "query", qid, index_.simulator().now());
-  }
-  return qid;
-}
-
-void QueryEngine::finish(std::uint64_t qid) {
-  const auto it = pending_.find(qid);
-  if (it == pending_.end()) return;
-  Pending p = std::move(it->second);
-  pending_.erase(it);
-  index_.simulator().cancel(p.timeout);
-
-  if (p.results.size() >= p.want) {
-    ++stats_.satisfied;
-  } else if (!p.results.empty()) {
-    ++stats_.partial;
-  } else {
-    ++stats_.failed;
-  }
-  stats_.delay_seconds.add(
-      to_seconds(index_.simulator().now() - p.submitted_at));
-  stats_.visited_nodes.add(static_cast<double>(p.visited));
-  if (obs::Tracer* t = obs::tracer()) {
-    t->end("query", "query", qid, index_.simulator().now());
-  }
-  if (p.cb) p.cb(std::move(p.results));
-}
 
 void QueryEngine::submit_k(NodeId requester, const ResourceVector& demand,
                            const can::Point& target, std::size_t want,
                            Callback cb) {
   SOC_CHECK(want >= 1);
-  const std::uint64_t qid = begin_query(requester, demand, want,
-                                        std::move(cb));
+  const std::uint64_t qid =
+      queries_.begin(requester, demand, want, std::move(cb));
   // Alg. 3: route the duty-query message to the node whose zone encloses v.
   index_.route(requester, target, net::MsgType::kDutyQuery,
                config_.query_msg_bytes,
@@ -80,9 +38,9 @@ void QueryEngine::submit_k(NodeId requester, const ResourceVector& demand,
 }
 
 void QueryEngine::on_duty_node(std::uint64_t qid, NodeId duty) {
-  const auto it = pending_.find(qid);
-  if (it == pending_.end()) return;
-  ++it->second.visited;
+  PendingQueries::Query* q = queries_.find(qid);
+  if (q == nullptr) return;
+  ++q->visited;
   if (obs::Tracer* t = obs::tracer()) {
     t->mark("query", "duty_node", qid, index_.simulator().now());
   }
@@ -90,10 +48,9 @@ void QueryEngine::on_duty_node(std::uint64_t qid, NodeId duty) {
   // The duty node is the boundary-corner node of the query range (Fig. 1):
   // its own zone overlaps the range, so its cache is searched before the
   // index agents take over (INSCAN-RQ starts checking there too).
-  const std::size_t found_here =
-      harvest_and_notify(qid, duty, it->second.want);
-  if (pending_.find(qid) == pending_.end()) return;
-  if (found_here >= it->second.want) return;  // in-flight notice will close
+  const std::size_t found_here = harvest_and_notify(qid, duty, q->want);
+  if (queries_.find(qid) == nullptr) return;
+  if (found_here >= q->want) return;  // in-flight notice will close
 
   // Alg. 3 lines 5–7: assemble ι from d positive adjacent neighbors (one
   // random pick per dimension, deduplicated).
@@ -111,8 +68,8 @@ void QueryEngine::on_duty_node(std::uint64_t qid, NodeId duty) {
   if (agents.empty()) {
     // Duty node sits at the positive corner of the space: it is itself the
     // only node that can hold qualified records.
-    harvest_and_notify(qid, duty, it->second.want);
-    finish(qid);
+    harvest_and_notify(qid, duty, q->want);
+    queries_.finish(qid);
     return;
   }
   const NodeId alpha = take_random(agents, rng_);
@@ -125,10 +82,9 @@ void QueryEngine::on_duty_node(std::uint64_t qid, NodeId duty) {
 
 void QueryEngine::on_index_agent(std::uint64_t qid, NodeId at,
                                  std::vector<NodeId> agents) {
-  const auto it = pending_.find(qid);
-  if (it == pending_.end()) return;
-  Pending& p = it->second;
-  ++p.visited;
+  PendingQueries::Query* q = queries_.find(qid);
+  if (q == nullptr) return;
+  ++q->visited;
   if (!index_.tracks(at)) return;  // agent churned out; timeout will close
 
   // Alg. 4 line 1: sample a few indexes from the PIList into j.
@@ -136,9 +92,9 @@ void QueryEngine::on_index_agent(std::uint64_t qid, NodeId at,
       config_.jump_list_size, index_.simulator().now(), rng_);
 
   const std::size_t remaining =
-      p.want > p.results.size() ? p.want - p.results.size() : 0;
+      q->want > q->results.size() ? q->want - q->results.size() : 0;
   if (remaining == 0) {
-    finish(qid);
+    queries_.finish(qid);
     return;
   }
 
@@ -163,23 +119,22 @@ void QueryEngine::on_index_agent(std::uint64_t qid, NodeId at,
     return;
   }
   // All agents exhausted with nothing to jump to: the query ends early.
-  finish(qid);
+  queries_.finish(qid);
 }
 
 std::size_t QueryEngine::harvest_and_notify(std::uint64_t qid, NodeId at,
                                             std::size_t delta) {
-  const auto it = pending_.find(qid);
-  if (it == pending_.end() || !index_.tracks(at)) return 0;
-  Pending& p = it->second;
+  PendingQueries::Query* q = queries_.find(qid);
+  if (q == nullptr || !index_.tracks(at)) return 0;
 
   // Alg. 5 line 1: search γ for records dominating v (into the reused
   // harvest scratch; results come out in ascending provider order).
   std::vector<index::Record>& qualified = record_scratch_;
-  index_.cache(at).qualified_into(p.demand, index_.simulator().now(),
+  index_.cache(at).qualified_into(q->demand, index_.simulator().now(),
                                   qualified);
   // Skip providers this query already collected (duplicate notices).
   std::erase_if(qualified, [&](const index::Record& r) {
-    return p.seen_providers.contains(r.provider);
+    return q->seen_providers.contains(r.provider);
   });
   if (qualified.empty()) return 0;
   if (qualified.size() > delta) qualified.resize(delta);
@@ -192,16 +147,15 @@ std::size_t QueryEngine::harvest_and_notify(std::uint64_t qid, NodeId at,
   found.reserve(qualified.size());
   for (const auto& r : qualified) {
     found.push_back(Discovered{r.provider, r.availability});
-    p.seen_providers.insert(r.provider);
+    q->seen_providers.insert(r.provider);
   }
   index_.bus().send(
-      at, p.requester, net::MsgType::kFoundNotice, config_.notice_msg_bytes,
+      at, q->requester, net::MsgType::kFoundNotice, config_.notice_msg_bytes,
       [this, qid, found = std::move(found)] {
-        const auto pit = pending_.find(qid);
-        if (pit == pending_.end()) return;
-        Pending& pp = pit->second;
-        pp.results.insert(pp.results.end(), found.begin(), found.end());
-        if (pp.results.size() >= pp.want) finish(qid);
+        PendingQueries::Query* open = queries_.find(qid);
+        if (open == nullptr) return;
+        open->results.insert(open->results.end(), found.begin(), found.end());
+        if (open->satisfied()) queries_.finish(qid);
       });
   return qualified.size();
 }
@@ -210,14 +164,14 @@ void QueryEngine::on_index_jump(std::uint64_t qid, NodeId at,
                                 std::vector<NodeId> jumps,
                                 std::vector<NodeId> agents,
                                 std::size_t delta) {
-  const auto it = pending_.find(qid);
-  if (it == pending_.end()) return;
-  ++it->second.visited;
+  PendingQueries::Query* q = queries_.find(qid);
+  if (q == nullptr) return;
+  ++q->visited;
   if (!index_.tracks(at)) return;
 
   // Alg. 5 lines 1–5: harvest and decrement δ.
   const std::size_t sent = harvest_and_notify(qid, at, delta);
-  if (pending_.find(qid) == pending_.end()) return;  // finished inline
+  if (queries_.find(qid) == nullptr) return;  // finished inline
   delta = delta > sent ? delta - sent : 0;
   if (delta == 0) return;  // the in-flight notice will close the query
 
@@ -242,7 +196,7 @@ void QueryEngine::on_index_jump(std::uint64_t qid, NodeId at,
                       });
     return;
   }
-  finish(qid);
+  queries_.finish(qid);
 }
 
 // ---------------------------------------------------------------------------
@@ -252,52 +206,47 @@ void QueryEngine::submit_full_range(NodeId requester,
                                     const ResourceVector& demand,
                                     const can::Point& target, Callback cb) {
   const std::uint64_t qid =
-      begin_query(requester, demand, /*want=*/SIZE_MAX, std::move(cb));
+      queries_.begin(requester, demand, /*want=*/SIZE_MAX, std::move(cb));
   index_.route(requester, target, net::MsgType::kDutyQuery,
                config_.query_msg_bytes, [this, qid, target](NodeId duty) {
-                 const auto it = pending_.find(qid);
-                 if (it == pending_.end()) return;
-                 it->second.flood_outstanding = 1;
-                 it->second.flood_visited.insert(duty);
+                 PendingQueries::Query* q = queries_.find(qid);
+                 if (q == nullptr) return;
+                 q->outstanding = 1;
+                 q->reached.insert(duty);
                  flood_visit(qid, duty, target);
                });
 }
 
 void QueryEngine::flood_visit(std::uint64_t qid, NodeId at,
                               const can::Point& corner) {
-  const auto it = pending_.find(qid);
-  if (it == pending_.end()) return;
-  Pending& p = it->second;
-  ++p.visited;
-  SOC_CHECK(p.flood_outstanding > 0);
-  --p.flood_outstanding;
+  PendingQueries::Query* q = queries_.find(qid);
+  if (q == nullptr) return;
+  ++q->visited;
+  SOC_CHECK(q->outstanding > 0);
+  --q->outstanding;
 
   auto& space = index_.space();
   if (index_.tracks(at) && space.contains(at)) {
     // Collect local qualified records directly (the flood already costs
     // O(N) messages; results ride back on one notice per responsible node).
     std::vector<index::Record>& qualified = record_scratch_;
-    index_.cache(at).qualified_into(p.demand, index_.simulator().now(),
+    index_.cache(at).qualified_into(q->demand, index_.simulator().now(),
                                     qualified);
-    for (const auto& r : qualified) {
-      if (p.seen_providers.insert(r.provider).second) {
-        p.results.push_back(Discovered{r.provider, r.availability});
-      }
-    }
+    for (const auto& r : qualified) q->add(r.provider, r.availability);
     // Forward to every unvisited neighbor whose zone still intersects the
     // query range [corner, 1]^d.
     for (const NodeId n : space.neighbors_of(at)) {
-      if (p.flood_visited.contains(n)) continue;
+      if (q->reached.contains(n)) continue;
       if (!space.zone_of(n).intersects_upper_range(corner)) continue;
-      p.flood_visited.insert(n);
-      ++p.flood_outstanding;
+      q->reached.insert(n);
+      ++q->outstanding;
       index_.bus().send(at, n, net::MsgType::kDutyQuery,
                         config_.query_msg_bytes, [this, qid, n, corner] {
                           flood_visit(qid, n, corner);
                         });
     }
   }
-  if (p.flood_outstanding == 0) finish(qid);
+  if (q->outstanding == 0) queries_.finish(qid);
 }
 
 }  // namespace soc::query

@@ -14,13 +14,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "src/common/stats.hpp"
 #include "src/index/inscan.hpp"
+#include "src/query/pending.hpp"
 
 namespace soc::query {
 
@@ -31,19 +28,9 @@ struct QueryConfig {
   std::size_t notice_msg_bytes = 160;
 };
 
-/// Aggregate outcome counters for the evaluation.
-struct QueryStats {
-  std::uint64_t submitted = 0;
-  std::uint64_t satisfied = 0;   ///< got ≥ δ results
-  std::uint64_t partial = 0;     ///< got > 0 but < δ results
-  std::uint64_t failed = 0;      ///< got nothing
-  RunningStats delay_seconds;    ///< submit → completion
-  RunningStats visited_nodes;    ///< protocol handlers touched per query
-};
-
 class QueryEngine {
  public:
-  using Callback = std::function<void(std::vector<Discovered>)>;
+  using Callback = PendingQueries::Callback;
 
   QueryEngine(index::IndexSystem& index, QueryConfig config);
 
@@ -59,28 +46,10 @@ class QueryEngine {
   void submit_full_range(NodeId requester, const ResourceVector& demand,
                          const can::Point& target, Callback cb);
 
-  [[nodiscard]] const QueryStats& stats() const { return stats_; }
+  [[nodiscard]] const QueryStats& stats() const { return queries_.stats(); }
   [[nodiscard]] const QueryConfig& config() const { return config_; }
 
  private:
-  struct Pending {
-    NodeId requester;
-    ResourceVector demand;
-    std::size_t want = 1;
-    std::vector<Discovered> results;
-    std::unordered_set<NodeId> seen_providers;
-    sim::EventHandle timeout;
-    Callback cb;
-    SimTime submitted_at = 0;
-    std::uint64_t visited = 0;
-    // Full-range bookkeeping:
-    std::unordered_set<NodeId> flood_visited;
-    std::size_t flood_outstanding = 0;
-  };
-
-  std::uint64_t begin_query(NodeId requester, const ResourceVector& demand,
-                            std::size_t want, Callback cb);
-  void finish(std::uint64_t qid);
   void on_duty_node(std::uint64_t qid, NodeId duty);
   void on_index_agent(std::uint64_t qid, NodeId at,
                       std::vector<NodeId> agents);
@@ -99,9 +68,7 @@ class QueryEngine {
   /// every harvest finishes with the records copied out before the next).
   std::vector<index::Record> record_scratch_;
   QueryConfig config_;
-  QueryStats stats_;
-  std::unordered_map<std::uint64_t, Pending> pending_;
-  std::uint64_t next_qid_ = 1;
+  PendingQueries queries_;
   Rng rng_;
 };
 

@@ -5,8 +5,7 @@
 #include <vector>
 
 #include "src/can/space.hpp"
-#include "src/core/khdn_protocol.hpp"
-#include "src/core/pidcan_protocol.hpp"
+#include "src/core/can_protocol.hpp"
 
 namespace soc::scenario {
 
@@ -163,14 +162,9 @@ void ScenarioEngine::start_partition(const Partition& p) {
 }
 
 std::vector<NodeId> ScenarioEngine::spatial_victims(std::size_t k) {
-  can::CanSpace* space = nullptr;
-  if (auto* pid = dynamic_cast<core::PidCanProtocol*>(&ex_.protocol())) {
-    space = &pid->space();
-  } else if (auto* khdn =
-                 dynamic_cast<core::KhdnProtocol*>(&ex_.protocol())) {
-    space = &khdn->space();
-  }
-  if (space == nullptr || space->size() == 0) return {};
+  auto* overlay = dynamic_cast<core::CanProtocol*>(&ex_.protocol());
+  if (overlay == nullptr || overlay->space().size() == 0) return {};
+  can::CanSpace* space = &overlay->space();
 
   // Epicenter of the regional outage; victims are the k members whose zone
   // centers lie closest to it (deterministic tie-break on id).

@@ -6,8 +6,7 @@
 #include <map>
 
 #include "src/can/space.hpp"
-#include "src/core/khdn_protocol.hpp"
-#include "src/core/pidcan_protocol.hpp"
+#include "src/core/can_protocol.hpp"
 #include "src/index/record.hpp"
 #include "src/net/message_bus.hpp"
 
@@ -166,23 +165,14 @@ InvariantReport check_invariants(core::Experiment& ex, Rng& rng) {
                         std::back_inserter(connected));
     alive = std::move(connected);
   }
-  if (auto* pid = dynamic_cast<core::PidCanProtocol*>(&ex.protocol())) {
-    check_can_space(chk, pid->space(), alive, pid->name());
-    index::IndexSystem& index = pid->index();
-    chk.expect_clean(index.check_membership_consistency(),
-                     pid->name() + " index membership");
+  if (auto* overlay = dynamic_cast<core::CanProtocol*>(&ex.protocol())) {
+    check_can_space(chk, overlay->space(), alive, overlay->name());
+    chk.expect_clean(overlay->check_membership_consistency(),
+                     overlay->name() + " membership");
     const SimTime now = ex.simulator().now();
-    for (const NodeId id : index.tracked_ids()) {
-      check_record_store(chk, index.cache(id), id, pid->cmax(), now, rng);
-    }
-  } else if (auto* khdn = dynamic_cast<core::KhdnProtocol*>(&ex.protocol())) {
-    check_can_space(chk, khdn->space(), alive, khdn->name());
-    khdn::KhdnSystem& system = khdn->system();
-    chk.expect_clean(system.check_membership_consistency(),
-                     khdn->name() + " duty-cache membership");
-    const SimTime now = ex.simulator().now();
-    for (const NodeId id : system.tracked_ids()) {
-      check_record_store(chk, system.cache(id), id, khdn->cmax(), now, rng);
+    for (const NodeId id : overlay->tracked_ids()) {
+      check_record_store(chk, overlay->cache(id), id, overlay->cmax(), now,
+                         rng);
     }
   }
 

@@ -27,9 +27,9 @@ namespace {
 
 std::string join_strings(const std::vector<std::string>& parts) {
   std::string out;
-  for (const std::string& p : parts) {
-    if (!out.empty()) out += ',';
-    out += p;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (i > 0) out += ',';
+    out += parts[i];
   }
   return out;
 }
@@ -163,37 +163,21 @@ SweepSpec SweepSpec::normalized() const {
 
 std::string SweepSpec::describe() const {
   const SweepSpec n = normalized();
-  std::string out = "sweep{p=[";
-  for (std::size_t i = 0; i < n.protocols.size(); ++i) {
-    out += (i ? "," : "") + core::protocol_name(n.protocols[i]);
-  }
-  out += "] l=[";
-  for (std::size_t i = 0; i < n.lambdas.size(); ++i) {
-    out += fmt("%s%.6g", i ? "," : "", n.lambdas[i]);
-  }
-  out += "] n=[";
-  for (std::size_t i = 0; i < n.node_counts.size(); ++i) {
-    out += fmt("%s%zu", i ? "," : "", n.node_counts[i]);
-  }
-  out += "] sc=[";
-  for (std::size_t i = 0; i < n.scenarios.size(); ++i) {
-    out += (i ? "," : "") + n.scenarios[i];
-  }
-  out += "] c=[";
-  for (std::size_t i = 0; i < n.churns.size(); ++i) {
-    out += fmt("%s%.6g", i ? "," : "", n.churns[i]);
-  }
-  out += "] v=[";
-  for (std::size_t i = 0; i < n.variants.size(); ++i) {
-    out += (i ? "," : "") + n.variants[i];
-  }
+  std::string out;
+  const auto axis = [&out](const char* label, const std::string& values) {
+    out += label;
+    out += values;
+  };
+  axis("sweep{p=[", join_strings(protocol_names(n.protocols)));
+  axis("] l=[", join_doubles(n.lambdas));
+  axis("] n=[", join_sizes(n.node_counts));
+  axis("] sc=[", join_strings(n.scenarios));
+  axis("] c=[", join_doubles(n.churns));
+  axis("] v=[", join_strings(n.variants));
   // The plain-"off" default is elided so pre-serving specs keep their
   // describe() string — and hence their fingerprint and cell keys.
   if (n.servings != std::vector<std::string>{"off"}) {
-    out += "] sv=[";
-    for (std::size_t i = 0; i < n.servings.size(); ++i) {
-      out += (i ? "," : "") + n.servings[i];
-    }
+    axis("] sv=[", join_strings(n.servings));
   }
   out += fmt("] r=%zu seed=%llu h=%.6g}", n.repeats,
              static_cast<unsigned long long>(n.base_seed), n.hours);

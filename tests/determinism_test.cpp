@@ -100,7 +100,6 @@ IndexRun run_index_layer(std::uint64_t seed) {
   can::CanSpace space(2, Rng(seed + 2));
   index::IndexSystem index(sim, bus, space, index::InscanConfig{},
                            Rng(seed + 3));
-  index.attach_to_space();
   const ResourceVector cmax = ResourceVector::filled(2, 10.0);
   std::unordered_map<NodeId, ResourceVector> avail;
   index.set_availability_provider(

@@ -29,7 +29,6 @@ class DiscoveryFixture {
     cfg.diffusion = method;
     index_ = std::make_unique<index::IndexSystem>(sim_, bus_, space_, cfg,
                                                   Rng(seed + 4));
-    index_->attach_to_space();
     index_->set_availability_provider(
         [this](NodeId id) -> std::optional<index::Record> {
           const auto it = avail_.find(id);

@@ -18,7 +18,6 @@ struct InscanHarness {
         bus(sim, topo), space(2, Rng(seed + 2)),
         index(sim, bus, space, cfg, Rng(seed + 3)),
         cmax(ResourceVector::filled(2, 10.0)), rng(seed + 4) {
-    index.attach_to_space();
     index.set_availability_provider(
         [this](NodeId id) -> std::optional<Record> {
           const auto it = avail.find(id);

@@ -20,7 +20,6 @@ class KhdnFixture {
         bus_(sim_, topo_), space_(dims, Rng(seed + 2)),
         system_(sim_, bus_, space_, cfg, Rng(seed + 3)), rng_(seed + 4),
         cmax_(ResourceVector::filled(dims, 10.0)) {
-    system_.attach_to_space();
     system_.set_availability_provider(
         [this](NodeId id) -> std::optional<index::Record> {
           const auto it = avail_.find(id);

@@ -14,14 +14,19 @@
 //      one 'e' exists per finished task.  Under churn that kills tasks
 //      (tasks-lost, checkpoint restart) every terminal path closes the
 //      task span: the task 'e' events equal finished + failed exactly.
+//      Every protocol's queries open and close `query` spans (one
+//      pending-query table serves all three), and a route dropped by the
+//      shared CAN router leaves a `route` instant.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "src/can/router.hpp"
 #include "src/common/json.hpp"
 #include "src/core/experiment.hpp"
+#include "src/net/topology.hpp"
 #include "src/obs/trace.hpp"
 
 namespace soc {
@@ -40,20 +45,23 @@ core::ExperimentConfig small_config(core::ProtocolKind protocol) {
   return c;
 }
 
-/// Task-category span ends ('e' events) in the exported trace JSON.
-std::size_t task_span_ends(const obs::Tracer& tracer) {
+/// The events of the exported trace JSON with phase `ph` and category
+/// `cat`.
+std::vector<json::Value> trace_events(const obs::Tracer& tracer,
+                                      const std::string& ph,
+                                      const std::string& cat) {
   const auto doc = json::parse(tracer.to_json());
   const json::Value* events = doc ? doc->find("traceEvents") : nullptr;
   if (events == nullptr || events->array() == nullptr) {
     ADD_FAILURE() << "trace JSON has no traceEvents array";
-    return 0;
+    return {};
   }
-  std::size_t ends = 0;
+  std::vector<json::Value> out;
   for (const json::Value& e : *events->array()) {
     json::Fields f(e);
-    if (f.str("ph") == "e" && f.str("cat") == "task") ++ends;
+    if (f.str("ph") == ph && f.str("cat") == cat) out.push_back(e);
   }
-  return ends;
+  return out;
 }
 
 /// Run the scenario untraced, then traced, and require bit-identical
@@ -64,6 +72,8 @@ struct TracedRun {
   std::size_t begins = 0;
   std::size_t ends = 0;
   std::size_t task_ends = 0;  ///< task-category 'e' events in the JSON
+  std::size_t query_begins = 0;  ///< query-category 'b' events
+  std::size_t query_ends = 0;    ///< query-category 'e' events
   std::size_t events = 0;
 };
 
@@ -78,9 +88,14 @@ TracedRun expect_trace_transparent(const core::ExperimentConfig& config) {
   EXPECT_EQ(traced.fingerprint(), off)
       << "tracing perturbed the trajectory (protocol "
       << static_cast<int>(config.protocol) << ")";
-  return TracedRun{traced.finished,       traced.failed,
-                   tracer.count_ph('b'),  tracer.count_ph('e'),
-                   task_span_ends(tracer), tracer.event_count()};
+  return TracedRun{traced.finished,
+                   traced.failed,
+                   tracer.count_ph('b'),
+                   tracer.count_ph('e'),
+                   trace_events(tracer, "e", "task").size(),
+                   trace_events(tracer, "b", "query").size(),
+                   trace_events(tracer, "e", "query").size(),
+                   tracer.event_count()};
 }
 
 TracedRun expect_trace_transparent(core::ProtocolKind protocol) {
@@ -95,6 +110,8 @@ TEST(ObsTrace, HidCanTrajectoryIdenticalWithTracingOn) {
   EXPECT_GE(t.begins, t.ends);
   EXPECT_GE(t.ends, t.finished) << "every finished task must close its span";
   EXPECT_GT(t.events, t.begins + t.ends) << "marks/instants missing";
+  EXPECT_GT(t.query_ends, 0u);
+  EXPECT_LE(t.query_ends, t.query_begins);
 }
 
 TEST(ObsTrace, NewscastTrajectoryIdenticalWithTracingOn) {
@@ -102,6 +119,8 @@ TEST(ObsTrace, NewscastTrajectoryIdenticalWithTracingOn) {
   EXPECT_GT(t.ends, 0u);
   EXPECT_GE(t.begins, t.ends);
   EXPECT_GE(t.ends, t.finished);
+  EXPECT_GT(t.query_ends, 0u);
+  EXPECT_LE(t.query_ends, t.query_begins);
 }
 
 TEST(ObsTrace, KhdnCanTrajectoryIdenticalWithTracingOn) {
@@ -109,6 +128,44 @@ TEST(ObsTrace, KhdnCanTrajectoryIdenticalWithTracingOn) {
   EXPECT_GT(t.ends, 0u);
   EXPECT_GE(t.begins, t.ends);
   EXPECT_GE(t.ends, t.finished);
+  EXPECT_GT(t.query_ends, 0u);
+  EXPECT_LE(t.query_ends, t.query_begins);
+}
+
+TEST(ObsTrace, RouteOutOfTtlLeavesOneInstantAtItsHolder) {
+  sim::Simulator sim(5);
+  net::Topology topo(net::TopologyConfig{}, Rng(6));
+  net::MessageBus bus(sim, topo);
+  can::CanSpace space(2, Rng(7));
+  for (int i = 0; i < 8; ++i) space.join(topo.add_host());
+  const NodeId from = space.member_ids().front();
+  const can::Zone zone = space.zone_of(from);
+  can::Point target(2);
+  for (std::size_t d = 0; d < 2; ++d) {
+    target[d] = zone.hi(d) < 1.0 ? 0.999 : 0.001;  // outside from's zone
+  }
+  ASSERT_NE(space.owner_of(target), from);
+
+  obs::Tracer tracer;
+  obs::Tracer* prev = obs::install_tracer(&tracer);
+  bool arrived = false;
+  const can::GreedyRouter<> router(space, bus);
+  router.route(from, target, net::MsgType::kStateUpdate, 64, /*ttl=*/0,
+               [&arrived](NodeId) { arrived = true; });
+  sim.run_until(seconds(60));
+  obs::install_tracer(prev);
+
+  EXPECT_FALSE(arrived);
+  const std::vector<json::Value> instants =
+      trace_events(tracer, "i", "route");
+  ASSERT_EQ(instants.size(), 1u);
+  json::Fields f(instants.front());
+  EXPECT_EQ(f.str("name"), "ttl_exhausted");
+  const json::Value* args = instants.front().find("args");
+  ASSERT_NE(args, nullptr);
+  const json::Value* at = args->find("at");
+  ASSERT_NE(at, nullptr);
+  EXPECT_EQ(at->u64(), std::optional<std::uint64_t>(from.value));
 }
 
 /// Heavy churn under a task-killing policy: hosts die with tasks on them.

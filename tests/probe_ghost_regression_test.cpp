@@ -26,7 +26,6 @@ struct ProbeHarness {
       : sim(seed), topo(net::TopologyConfig{}, Rng(seed + 1)),
         bus(sim, topo), space(2, Rng(seed + 2)),
         index(sim, bus, space, InscanConfig{}, Rng(seed + 3)) {
-    index.attach_to_space();
     // No availability provider: the only protocol traffic is probe walks
     // (publish_now returns early, diffusion never initiates on empty
     // caches), so the assertions below isolate the walk lifecycle.

@@ -9,6 +9,7 @@
 #include "src/index/inscan.hpp"
 #include "src/net/topology.hpp"
 #include "src/psm/task.hpp"
+#include "src/query/pending.hpp"
 #include "src/query/query_engine.hpp"
 #include "src/sim/simulator.hpp"
 
@@ -24,7 +25,6 @@ struct Harness {
         cmax(ResourceVector::filled(dims, 10.0)),
         index(sim, bus, space, index::InscanConfig{}, Rng(seed + 3)),
         engine(index, query::QueryConfig{}), rng(seed + 4) {
-    index.attach_to_space();
     index.set_availability_provider(
         [this](NodeId id) -> std::optional<index::Record> {
           const auto it = avail.find(id);
@@ -96,6 +96,43 @@ TEST(QueryEdge, CallbackFiresExactlyOnceOnTimeout) {
   EXPECT_EQ(h.engine.stats().satisfied + h.engine.stats().partial +
                 h.engine.stats().failed,
             1u);
+}
+
+TEST(QueryEdge, PendingTableFinishesEachQueryExactlyOnce) {
+  sim::Simulator sim(54);
+  query::PendingQueries table(sim, seconds(90));
+  std::vector<std::size_t> delivered;
+  const auto record = [&delivered](std::vector<Discovered> found) {
+    delivered.push_back(found.size());
+  };
+  const ResourceVector demand{1.0, 1.0};
+  // Deadline first: the timeout finishes the query with what it has, and
+  // a later explicit finish is a no-op.
+  const std::uint64_t late = table.begin(NodeId(1), demand, 2, record);
+  table.find(late)->add(NodeId(7), demand);
+  sim.run_until(seconds(120));
+  EXPECT_EQ(table.find(late), nullptr);
+  table.finish(late);
+  // Explicit finish first: the armed deadline is cancelled, and a second
+  // finish is a no-op.  A provider collected twice counts once.
+  const std::uint64_t full = table.begin(NodeId(1), demand, 2, record);
+  EXPECT_TRUE(table.find(full)->add(NodeId(7), demand));
+  EXPECT_FALSE(table.find(full)->add(NodeId(7), demand));
+  EXPECT_TRUE(table.find(full)->add(NodeId(8), demand));
+  EXPECT_TRUE(table.find(full)->satisfied());
+  table.finish(full);
+  table.finish(full);
+  const std::uint64_t empty = table.begin(NodeId(1), demand, 2, record);
+  table.finish(empty);
+  sim.run_until(seconds(600));
+
+  EXPECT_EQ(delivered, (std::vector<std::size_t>{1, 2, 0}));
+  const query::QueryStats& stats = table.stats();
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.satisfied, 1u);
+  EXPECT_EQ(stats.partial, 1u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.delay_seconds.count(), 3u);
 }
 
 TEST(QueryEdge, ManyConcurrentQueriesAllResolve) {

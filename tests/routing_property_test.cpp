@@ -30,6 +30,7 @@ TEST_P(RoutingProperty, BusRoutingArrivesAtOwner) {
     space.join(id);
     ids.push_back(id);
   }
+  const can::GreedyRouter<> router(space, bus);
   for (int trial = 0; trial < 40; ++trial) {
     can::Point target(static_cast<std::size_t>(dims));
     for (int d = 0; d < dims; ++d) {
@@ -37,8 +38,8 @@ TEST_P(RoutingProperty, BusRoutingArrivesAtOwner) {
     }
     const NodeId from = ids[rng.pick_index(ids.size())];
     NodeId arrived;
-    can::route_greedy(space, bus, from, target, net::MsgType::kDutyQuery, 64,
-                      256, [&](NodeId duty) { arrived = duty; });
+    router.route(from, target, net::MsgType::kDutyQuery, 64, 256,
+                 [&](NodeId duty) { arrived = duty; });
     sim.run_until(sim.now() + seconds(120));
     ASSERT_TRUE(arrived.valid()) << "route lost";
     EXPECT_EQ(arrived, space.owner_of(target));
@@ -66,13 +67,13 @@ TEST(RoutingProperty, BoundaryTargetsRouteCleanly) {
     topo.add_host();
     space.join(NodeId(i));
   }
+  const can::GreedyRouter<> router(space, bus);
   for (const double x : {0.0, 0.25, 0.5, 0.75, 1.0}) {
     for (const double y : {0.0, 0.5, 1.0}) {
       const can::Point target{x, y};
       NodeId arrived;
-      can::route_greedy(space, bus, NodeId(0), target,
-                        net::MsgType::kDutyQuery, 64, 256,
-                        [&](NodeId duty) { arrived = duty; });
+      router.route(NodeId(0), target, net::MsgType::kDutyQuery, 64, 256,
+                   [&](NodeId duty) { arrived = duty; });
       sim.run_until(sim.now() + seconds(120));
       ASSERT_TRUE(arrived.valid()) << "stalled at (" << x << "," << y << ")";
       EXPECT_EQ(arrived, space.owner_of(target));
@@ -89,7 +90,6 @@ TEST(RoutingProperty, LongLinkRoutingBeatsPlainCanOnAverage) {
   can::CanSpace space(2, Rng(13));
   index::InscanConfig cfg;
   index::IndexSystem idx(sim, bus, space, cfg, Rng(14));
-  idx.attach_to_space();
   std::vector<NodeId> ids;
   for (std::uint32_t i = 0; i < 256; ++i) {
     const NodeId id = topo.add_host();
@@ -127,7 +127,6 @@ TEST(RoutingProperty, RecordsSitAtOwnersAfterChurn) {
   can::CanSpace space(2, Rng(19));
   index::InscanConfig cfg;
   index::IndexSystem idx(sim, bus, space, cfg, Rng(20));
-  idx.attach_to_space();
   const ResourceVector cmax = ResourceVector::filled(2, 10.0);
   std::unordered_map<NodeId, ResourceVector> avail;
   idx.set_availability_provider(

@@ -237,6 +237,7 @@ int main(int argc, char** argv) {
   opt.max_seconds = args.get_double("max-seconds", 0.0);
   opt.verbose = args.get_bool("verbose", false);
   opt.trace_on_failure = args.get_bool("trace-on-failure", false);
+  args.exit_on_errors();
   if (opt.nodes_hi < opt.nodes_lo || opt.nodes_lo == 0 ||
       opt.check_every_s <= 0.0 || opt.max_seconds < 0.0) {
     std::fprintf(stderr, "sim_fuzz: bad option ranges\n");

@@ -160,6 +160,10 @@ int main(int argc, char** argv) {
       != 0;
   const std::string merged_path =
       args.get("merged", dir + "/SWEEP_merged.json");
+  const std::string trace_path = args.get("trace", "");
+  const std::int64_t shard_id = args.get_int("shard", -1);
+  const auto workers = static_cast<std::size_t>(args.get_int("workers", 2));
+  args.exit_on_errors();
   if (!mkdir_p(dir)) {
     std::fprintf(stderr, "sweep_run: cannot create %s\n", dir.c_str());
     return 2;
@@ -171,11 +175,9 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string trace_path = args.get("trace", "");
   obs::Tracer tracer;
 
   if (mode == "worker") {
-    const std::int64_t shard_id = args.get_int("shard", -1);
     if (shard_id < 0 || static_cast<std::size_t>(shard_id) >= shards_total) {
       std::fprintf(stderr, "sweep_run: worker mode needs --shard in [0,%zu)\n",
                    shards_total);
@@ -256,7 +258,7 @@ int main(int argc, char** argv) {
     }
     sweep::OrchestrateOptions options;
     options.dir = dir;
-    options.workers = static_cast<std::size_t>(args.get_int("workers", 2));
+    options.workers = workers;
     if (mode == "orchestrate") options.worker_binary = self_exe(argv[0]);
     const auto outcome = sweep::orchestrate(spec, shards_total, options);
     if (!trace_path.empty()) {
