@@ -424,8 +424,7 @@ void BM_RangeQueryTraffic(benchmark::State& state) {
   }
   sim.run_until(seconds(1500));
 
-  query::QueryConfig qc;
-  query::QueryEngine engine(idx, qc);
+  query::QueryEngine engine(idx);
   const ResourceVector demand = ResourceVector::filled(5, 4.0);
   const can::Point target = can::Point::normalized(demand, cmax);
 

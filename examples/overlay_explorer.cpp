@@ -11,6 +11,7 @@
 #include "src/can/ascii_art.hpp"
 #include "src/can/space.hpp"
 #include "src/common/cli.hpp"
+#include "src/common/protocol_params.hpp"
 #include "src/index/inscan.hpp"
 #include "src/net/message_bus.hpp"
 #include "src/net/topology.hpp"
@@ -28,8 +29,7 @@ int main(int argc, char** argv) {
   net::Topology topo(net::TopologyConfig{}, Rng(43));
   net::MessageBus bus(sim, topo);
   can::CanSpace space(dims, Rng(44));
-  index::InscanConfig cfg;
-  index::IndexSystem index(sim, bus, space, cfg, Rng(45));
+  index::IndexSystem index(sim, bus, space, index::InscanConfig{}, Rng(45));
 
   // Synthetic availabilities in [0, 10]^dims.
   const ResourceVector cmax = ResourceVector::filled(dims, 10.0);
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
         r.availability = avail.at(id);
         r.location = can::Point::normalized(r.availability, cmax);
         r.published_at = sim.now();
-        r.expires_at = sim.now() + cfg.record_ttl;
+        r.expires_at = sim.now() + params::kRecordTtl;
         return r;
       });
 
@@ -91,8 +91,7 @@ int main(int argc, char** argv) {
   std::printf("   duty (boundary-corner) node: %u\n",
               space.owner_of(corner).value);
 
-  query::QueryConfig qc;
-  query::QueryEngine engine(index, qc);
+  query::QueryEngine engine(index);
   // Count only query-pipeline message types so concurrent background
   // maintenance (state updates, probes, diffusion) doesn't pollute the
   // comparison.

@@ -80,6 +80,19 @@ std::uint64_t trace_id(TaskId id) {
   return (static_cast<std::uint64_t>(id.origin.value) << 32) | id.seq;
 }
 
+/// Poisson mean inter-arrival per node at λ = 1.
+constexpr double kMeanInterarrivalS = 3000.0;
+/// Query attempts after the first, and the pause before each.
+constexpr std::size_t kMaxQueryRetries = 2;
+constexpr SimTime kRetryBackoff = seconds(20);
+/// How long a dispatch waits for its admission verdict.
+constexpr SimTime kDispatchTimeout = seconds(120);
+/// Checkpoint restart: snapshot cadence per running task, restarts before
+/// a task gives up, and the snapshot message size.
+constexpr SimTime kCheckpointPeriod = seconds(300);
+constexpr std::uint32_t kMaxRestarts = 3;
+constexpr std::size_t kSnapshotBytes = 4096;
+
 /// Close a task's span on any terminal failure.
 void trace_failed(TaskId id, SimTime now) {
   if (obs::Tracer* t = obs::tracer()) {
@@ -91,20 +104,9 @@ void trace_failed(TaskId id, SimTime now) {
 
 Experiment::Experiment(ExperimentConfig config)
     : config_(config), sim_(config.seed), rng_(sim_.rng().fork("experiment")),
-      node_gen_([&config] {
-        workload::NodeGenConfig ng = config.nodegen;
-        // Scenario capacity skew is wired into the node generator so it
-        // shapes the initial population and every later join alike.
-        if (config.scenario.skew.enabled()) config.scenario.skew.apply(ng);
-        return workload::NodeGenerator(ng);
-      }()),
-      task_gen_([&config] {
-        workload::TaskGenConfig tg = config.taskgen;
-        tg.demand_ratio = config.demand_ratio;
-        return tg;
-      }()),
-      hosts_(sim_, config.overhead), avg_capacity_(psm::kDims) {
-  topology_ = std::make_unique<net::Topology>(config_.topology,
+      node_gen_(config.scenario.skew), task_gen_(config.demand_ratio),
+      hosts_(sim_), avg_capacity_(psm::kDims) {
+  topology_ = std::make_unique<net::Topology>(net::TopologyConfig{},
                                               rng_.fork("topology"));
   bus_ = std::make_unique<net::MessageBus>(sim_, *topology_);
   bus_->set_liveness([this](NodeId id) { return hosts_.alive(id); });
@@ -121,12 +123,13 @@ Experiment::Experiment(ExperimentConfig config)
     case ProtocolKind::kHidCanSos:
     case ProtocolKind::kSidCanVd: {
       PidCanOptions opt;
-      opt.inscan = config_.inscan;
-      opt.query = config_.query;
       const bool hopping = config_.protocol == ProtocolKind::kHidCan ||
                            config_.protocol == ProtocolKind::kHidCanSos;
       opt.inscan.diffusion = hopping ? index::DiffusionMethod::kHopping
                                      : index::DiffusionMethod::kSpreading;
+      opt.inscan.index_fanout_L = config_.index_fanout_L;
+      opt.inscan.select_policy = config_.select_policy;
+      opt.inscan.spreading_scope = config_.spreading_scope;
       opt.slack_on_submission =
           config_.protocol == ProtocolKind::kSidCanSos ||
           config_.protocol == ProtocolKind::kHidCanSos;
@@ -140,19 +143,17 @@ Experiment::Experiment(ExperimentConfig config)
       break;
     }
     case ProtocolKind::kNewscast: {
-      gossip::NewscastConfig gc = config_.newscast;
-      if (gc.view_size == 0 || gc.view_size == 11) {
-        gc.view_size = std::max<std::size_t>(
-            4, static_cast<std::size_t>(
-                   std::ceil(std::log2(static_cast<double>(std::max<std::size_t>(n, 2))))));
-      }
-      protocol_ = std::make_unique<NewscastProtocol>(sim_, *bus_, gc,
-                                                     rng_.fork("newscast"));
+      // Views of ≈ log2(n) entries, at least 4.
+      const std::size_t view_size = std::max<std::size_t>(
+          4, static_cast<std::size_t>(std::ceil(
+                 std::log2(static_cast<double>(std::max<std::size_t>(n, 2))))));
+      protocol_ = std::make_unique<NewscastProtocol>(
+          sim_, *bus_, view_size, rng_.fork("newscast"));
       break;
     }
     case ProtocolKind::kKhdnCan:
-      protocol_ = std::make_unique<KhdnProtocol>(
-          sim_, *bus_, cmax, config_.khdn, rng_.fork("khdn"));
+      protocol_ = std::make_unique<KhdnProtocol>(sim_, *bus_, cmax,
+                                                 rng_.fork("khdn"));
       break;
   }
 
@@ -161,7 +162,7 @@ Experiment::Experiment(ExperimentConfig config)
     // stream; fixed per-key profiles mean a hot key re-demands the exact
     // same vector, concentrating load on the same duty-node region.
     serving_rng_.emplace(rng_.fork("serving"));
-    zipf_.emplace(config_.serving.zipf_keys, config_.serving.zipf_exponent);
+    zipf_.emplace(config_.serving.zipf_keys);
     Rng profile_rng = rng_.fork("serving-profiles");
     demand_profiles_.reserve(config_.serving.zipf_keys);
     for (std::size_t k = 0; k < config_.serving.zipf_keys; ++k) {
@@ -440,8 +441,8 @@ void Experiment::start_arrivals(NodeId id) {
   // paper reports 57600 submitted tasks for one day at λ=1 (3000 s mean)
   // but 14362 at λ=0.25 — i.e. 3000/λ seconds — so lighter demands also
   // arrive proportionally less often.
-  const double mean_s = config_.mean_interarrival_s /
-                        std::max(config_.demand_ratio, 1e-6);
+  const double mean_s =
+      kMeanInterarrivalS / std::max(config_.demand_ratio, 1e-6);
   schedule_next_arrival(id, mean_s);
 }
 
@@ -581,7 +582,7 @@ void Experiment::dispatch(const std::shared_ptr<TaskRun>& run,
   const NodeId origin = run->spec.origin;
 
   // Guard against a dead provider or lost messages with a timeout.
-  sim_.schedule_after(config_.dispatch_timeout, [this, run, seq] {
+  sim_.schedule_after(kDispatchTimeout, [this, run, seq] {
     if (run->awaiting != seq || run->settled) return;
     run->awaiting = 0;
     on_candidates(run, {});  // fall back to the next untried candidate
@@ -636,7 +637,7 @@ void Experiment::dispatch(const std::shared_ptr<TaskRun>& run,
 void Experiment::retry_or_fail(const std::shared_ptr<TaskRun>& run) {
   if (run->settled) return;
   const bool origin_alive = hosts_.alive(run->spec.origin);
-  if (!origin_alive || run->attempts > config_.max_query_retries) {
+  if (!origin_alive || run->attempts > kMaxQueryRetries) {
     run->settled = true;
     metrics_.on_failed(sim_.now());
     trace_failed(run->spec.id, sim_.now());
@@ -662,8 +663,7 @@ void Experiment::retry_or_fail(const std::shared_ptr<TaskRun>& run) {
     }
     return;
   }
-  sim_.schedule_after(config_.retry_backoff,
-                      [this, run] { begin_query(run); });
+  sim_.schedule_after(kRetryBackoff, [this, run] { begin_query(run); });
 }
 
 double Experiment::efficiency_of(const psm::TaskSpec& spec,
@@ -719,12 +719,12 @@ void Experiment::drain_cold_reap() {
 }
 
 void Experiment::start_churn() {
-  // Node-churning events uniformly spread in time: within every window of
-  // `churn_window_s` (one mean task lifetime), `dynamic_degree · n` nodes
-  // depart and the same number of fresh nodes join.
+  // Node-churning events uniformly spread in time: within every churn
+  // window, `dynamic_degree · n` nodes depart and the same number of fresh
+  // nodes join.
   const double events_per_s = config_.churn_dynamic_degree *
                               static_cast<double>(config_.nodes) /
-                              config_.churn_window_s;
+                              kChurnWindowS;
   if (events_per_s <= 0.0) return;
   const double mean_gap_s = 1.0 / events_per_s;
   schedule_next_churn(mean_gap_s);
@@ -826,7 +826,7 @@ void Experiment::restart_from_checkpoint(
 
   const bool origin_alive = hosts_.alive(progress.spec.origin);
   const std::uint32_t restarts = checkpoints_.note_restart(id, sim_.now());
-  if (!origin_alive || restarts > config_.checkpoint.max_restarts) {
+  if (!origin_alive || restarts > kMaxRestarts) {
     metrics_.on_failed(sim_.now());
     trace_failed(id, sim_.now());
     checkpoints_.erase(id);
@@ -847,7 +847,7 @@ void Experiment::restart_from_checkpoint(
 }
 
 void Experiment::start_checkpointing() {
-  sim_.schedule_periodic(config_.checkpoint.period, [this] {
+  sim_.schedule_periodic(kCheckpointPeriod, [this] {
     // Snapshot every placed task whose provider is still alive; the
     // snapshot travels provider → origin as one message.
     for (const auto& [id, placement] : in_flight_) {
@@ -858,7 +858,7 @@ void Experiment::start_checkpointing() {
       ++checkpoint_snapshots_;
       const TaskId task_id = id;
       bus_->send(placement.provider, placement.spec.origin,
-                 net::MsgType::kDispatch, config_.checkpoint.snapshot_bytes,
+                 net::MsgType::kDispatch, kSnapshotBytes,
                  [this, task_id, r = *remaining] {
                    checkpoints_.record(task_id, r, sim_.now());
                  });
@@ -884,7 +884,7 @@ std::size_t Experiment::alive_nodes() const { return alive_count_; }
 
 ExperimentResults Experiment::results() const {
   ExperimentResults r;
-  r.protocol = protocol_->name();
+  r.protocol = protocol_name(config_.protocol);
   r.series = metrics_.series(config_.duration, config_.sample_step);
   r.generated = metrics_.generated();
   r.finished = metrics_.finished();

@@ -10,7 +10,7 @@ psm::PsmScheduler& HostTable::add(NodeId id, const ResourceVector& capacity) {
   alive_.push_back(1);
   capacity_.push_back(capacity);
   next_seq_.push_back(0);
-  cold_slot_.push_back(cold_.alloc(sim_, capacity, overhead_));
+  cold_slot_.push_back(cold_.alloc(sim_, capacity));
   fen_append(true);
   ++alive_count_;
   return cold_[cold_slot_[id.value]];

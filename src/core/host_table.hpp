@@ -34,8 +34,7 @@ namespace soc::core {
 
 class HostTable {
  public:
-  HostTable(sim::Simulator& sim, psm::VmOverhead overhead)
-      : sim_(sim), overhead_(overhead) {}
+  explicit HostTable(sim::Simulator& sim) : sim_(sim) {}
 
   /// Append the next host (ids must arrive sequentially: id == size()).
   /// Constructs its scheduler and returns it so the caller can attach the
@@ -110,7 +109,6 @@ class HostTable {
   void fen_sub(std::size_t id);
 
   sim::Simulator& sim_;
-  psm::VmOverhead overhead_;
 
   std::vector<std::uint8_t> alive_;         // hot: bus liveness per message
   std::vector<ResourceVector> capacity_;    // hot: admission/selection

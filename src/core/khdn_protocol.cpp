@@ -5,10 +5,9 @@
 namespace soc::core {
 
 KhdnProtocol::KhdnProtocol(sim::Simulator& sim, net::MessageBus& bus,
-                           ResourceVector cmax, khdn::KhdnConfig config,
-                           Rng rng)
-    : CanAdapter(sim, bus, std::move(cmax), 0, rng.fork("khdn-space"), config,
-                 rng.fork("khdn-system"), 0, "khdn.caches") {}
+                           ResourceVector cmax, Rng rng)
+    : CanAdapter(sim, bus, std::move(cmax), 0, rng.fork("khdn-space"),
+                 khdn::kHops, rng.fork("khdn-system"), 0, "khdn.caches") {}
 
 void KhdnProtocol::set_availability_source(AvailabilityFn fn) {
   system_.set_availability_provider(

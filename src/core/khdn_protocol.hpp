@@ -8,8 +8,9 @@ namespace soc::core {
 
 class KhdnProtocol final : public CanAdapter<khdn::KhdnSystem> {
  public:
+  /// K-hop spread and scan with K = khdn::kHops.
   KhdnProtocol(sim::Simulator& sim, net::MessageBus& bus, ResourceVector cmax,
-               khdn::KhdnConfig config, Rng rng);
+               Rng rng);
 
   void set_availability_source(AvailabilityFn fn) override;
   /// Counts dead-provider records only: the K-hop spread *intentionally*
@@ -20,7 +21,6 @@ class KhdnProtocol final : public CanAdapter<khdn::KhdnSystem> {
       SimTime now) const override;
   void query(NodeId requester, const ResourceVector& demand,
              std::size_t want, QueryCallback cb) override;
-  [[nodiscard]] std::string name() const override { return "KHDN-CAN"; }
 };
 
 }  // namespace soc::core

@@ -3,12 +3,13 @@
 #include <algorithm>
 
 #include "src/common/assert.hpp"
+#include "src/common/protocol_params.hpp"
 
 namespace soc::core {
 
 NewscastProtocol::NewscastProtocol(sim::Simulator& sim, net::MessageBus& bus,
-                                   gossip::NewscastConfig config, Rng rng)
-    : system_(sim, bus, config, rng.fork("newscast")),
+                                   std::size_t view_size, Rng rng)
+    : system_(sim, bus, view_size, rng.fork("newscast")),
       rng_(rng.fork("newscast-protocol")) {}
 
 void NewscastProtocol::set_availability_source(AvailabilityFn fn) {
@@ -71,10 +72,9 @@ std::vector<NodeId> NewscastProtocol::parked_ids() const {
 StaleDebt NewscastProtocol::stale_debt(
     const std::function<bool(NodeId)>& reachable, SimTime now) const {
   StaleDebt debt;
-  const SimTime ttl = system_.config().entry_ttl;
   for (const NodeId id : members_) {
     for (const gossip::ViewEntry& e : system_.view_of(id)) {
-      if ((now - e.heard_at) >= ttl) continue;
+      if ((now - e.heard_at) >= params::kRecordTtl) continue;
       if (!reachable(e.id)) ++debt.dead_provider;
     }
   }

@@ -12,7 +12,7 @@ namespace soc::core {
 class NewscastProtocol final : public DiscoveryProtocol {
  public:
   NewscastProtocol(sim::Simulator& sim, net::MessageBus& bus,
-                   gossip::NewscastConfig config, Rng rng);
+                   std::size_t view_size, Rng rng);
 
   void set_availability_source(AvailabilityFn fn) override;
   void on_join(NodeId id) override;
@@ -27,7 +27,6 @@ class NewscastProtocol final : public DiscoveryProtocol {
       SimTime now) const override;
   void query(NodeId requester, const ResourceVector& demand,
              std::size_t want, QueryCallback cb) override;
-  [[nodiscard]] std::string name() const override { return "Newscast"; }
   [[nodiscard]] double max_slot_span_ratio() const override {
     return system_.span_ratio();
   }

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "src/common/protocol_params.hpp"
+
 namespace soc::core {
 
 PidCanProtocol::PidCanProtocol(sim::Simulator& sim, net::MessageBus& bus,
@@ -11,16 +13,7 @@ PidCanProtocol::PidCanProtocol(sim::Simulator& sim, net::MessageBus& bus,
                  rng.fork("can-space"), options.inscan,
                  rng.fork("index-system"), options.maintenance_msgs_per_join,
                  "index.state"),
-      options_(options), rng_(rng), engine_(system_, options.query) {}
-
-std::string PidCanProtocol::name() const {
-  std::string n = options_.inscan.diffusion == index::DiffusionMethod::kHopping
-                      ? "HID-CAN"
-                      : "SID-CAN";
-  if (options_.slack_on_submission) n += "+SoS";
-  if (options_.virtual_dimension) n += "+VD";
-  return n;
-}
+      options_(options), rng_(rng), engine_(system_) {}
 
 can::Point PidCanProtocol::locate(const ResourceVector& v, Rng& rng) const {
   const can::Point base = can::Point::normalized(v, cmax_);
@@ -41,7 +34,7 @@ void PidCanProtocol::set_availability_source(AvailabilityFn fn) {
         r.availability = *avail;
         r.location = locate(*avail, rng_);
         r.published_at = system_.simulator().now();
-        r.expires_at = r.published_at + options_.inscan.record_ttl;
+        r.expires_at = r.published_at + params::kRecordTtl;
         return r;
       });
 }

@@ -15,7 +15,6 @@ namespace soc::core {
 
 struct PidCanOptions {
   index::InscanConfig inscan;
-  query::QueryConfig query;
   bool slack_on_submission = false;  ///< SoS: skew e → e' per Eq. (3)
   bool virtual_dimension = false;    ///< +1 CAN dimension to spread load
   std::size_t maintenance_msgs_per_join = 0;  ///< set from topology scale
@@ -34,7 +33,6 @@ class PidCanProtocol final : public CanAdapter<index::IndexSystem> {
              std::size_t want, QueryCallback cb) override;
   [[nodiscard]] std::size_t discoverable(const ResourceVector& demand,
                                          SimTime now) const override;
-  [[nodiscard]] std::string name() const override;
 
   /// The CAN point a demand/availability vector files under (appends the
   /// virtual coordinate in the VD variant).

@@ -98,8 +98,6 @@ class DiscoveryProtocol {
   /// the subsystem has claimed from the allocator, which is what peak
   /// RSS sees.  Default: nothing to report.
   virtual void mem_breakdown(obs::MemBreakdown& /*out*/) const {}
-
-  [[nodiscard]] virtual std::string name() const = 0;
 };
 
 }  // namespace soc::core

@@ -2,15 +2,25 @@
 
 #include <algorithm>
 
+#include "src/common/protocol_params.hpp"
 #include "src/psm/task.hpp"
 
 namespace soc::gossip {
 
+namespace {
+/// Exchange cadence.  The paper equalizes the three §IV.A protocols'
+/// traffic; at PID-CAN's maintenance rates that lands Newscast near one
+/// exchange per minute.
+constexpr SimTime kGossipPeriod = seconds(60);
+constexpr std::size_t kQueryForwardTtl = 6;  ///< random-forward hops
+constexpr std::size_t kViewMsgBytes = 600;
+}  // namespace
+
 NewscastSystem::NewscastSystem(sim::Simulator& sim, net::MessageBus& bus,
-                               NewscastConfig config, Rng rng)
-    : sim_(sim), bus_(bus), config_(config), rng_(rng),
-      queries_(sim, config.query_timeout) {
-  SOC_CHECK(config_.view_size >= 1);
+                               std::size_t view_size, Rng rng)
+    : sim_(sim), bus_(bus), view_size_(view_size), rng_(rng),
+      queries_(sim, params::kQueryTimeout) {
+  SOC_CHECK(view_size_ >= 1);
 }
 
 void NewscastSystem::add_node(NodeId id, const std::vector<NodeId>& bootstrap) {
@@ -19,27 +29,29 @@ void NewscastSystem::add_node(NodeId id, const std::vector<NodeId>& bootstrap) {
   for (const NodeId b : bootstrap) {
     if (b == id || !views_.contains(b)) continue;
     view.push_back(ViewEntry{b, ResourceVector(psm::kDims), sim_.now()});
-    if (view.size() >= config_.view_size) break;
+    if (view.size() >= view_size_) break;
   }
   start_periodic(id);
 }
 
 void NewscastSystem::start_periodic(NodeId id) {
+  const std::uint32_t inc = incarnations_.start(id);
   sim_.schedule_periodic(
-      config_.gossip_period,
-      [this, id] {
-        if (!views_.contains(id)) return false;
+      kGossipPeriod,
+      [this, id, inc] {
+        if (!incarnations_.current(id, inc)) return false;
         gossip_now(id);
         return true;
       },
       static_cast<SimTime>(
-          rng_.fork(id.value).uniform_int(1, config_.gossip_period)),
-      config_.periodic_jitter);
+          rng_.fork(id.value).uniform_int(1, kGossipPeriod)),
+      params::kPeriodicJitter);
 }
 
 void NewscastSystem::remove_node(NodeId id) {
   views_.erase(id);
   views_.maybe_compact();  // teardown safe point: no view refs outstanding
+  incarnations_.end(id);
 }
 
 std::vector<ViewEntry> NewscastSystem::park_node(NodeId id) {
@@ -92,7 +104,7 @@ void NewscastSystem::merge_view(NodeId owner,
               if (a.heard_at != b.heard_at) return a.heard_at > b.heard_at;
               return a.id < b.id;
             });
-  if (view.size() > config_.view_size) view.resize(config_.view_size);
+  if (view.size() > view_size_) view.resize(view_size_);
 }
 
 void NewscastSystem::gossip_now(NodeId id) {
@@ -104,13 +116,13 @@ void NewscastSystem::gossip_now(NodeId id) {
   // Initiator → peer: my view plus my own fresh entry; the peer merges and
   // answers with its own pre-merge snapshot (the Newscast exchange).
   auto mine = snapshot_with_self(id);
-  bus_.send(id, peer, net::MsgType::kGossip, config_.view_msg_bytes,
+  bus_.send(id, peer, net::MsgType::kGossip, kViewMsgBytes,
             [this, id, peer, mine = std::move(mine)] {
               if (!views_.contains(peer)) return;
               auto theirs = snapshot_with_self(peer);
               merge_view(peer, mine);
               bus_.send(peer, id, net::MsgType::kGossip,
-                        config_.view_msg_bytes,
+                        kViewMsgBytes,
                         [this, id, theirs = std::move(theirs)] {
                           merge_view(id, theirs);
                         });
@@ -121,7 +133,7 @@ void NewscastSystem::query(NodeId requester, const ResourceVector& demand,
                            std::size_t want, Callback cb) {
   const std::uint64_t qid =
       queries_.begin(requester, demand, want, std::move(cb));
-  query_hop(qid, requester, config_.query_forward_ttl);
+  query_hop(qid, requester, kQueryForwardTtl);
 }
 
 void NewscastSystem::query_hop(std::uint64_t qid, NodeId at,
@@ -133,7 +145,7 @@ void NewscastSystem::query_hop(std::uint64_t qid, NodeId at,
 
   // Scan the local partial view for fresh qualified entries.
   for (const ViewEntry& e : *view) {
-    if ((sim_.now() - e.heard_at) >= config_.entry_ttl) continue;
+    if ((sim_.now() - e.heard_at) >= params::kRecordTtl) continue;
     if (!e.availability.dominates(q->demand)) continue;
     q->add(e.id, e.availability);
   }
@@ -144,7 +156,7 @@ void NewscastSystem::query_hop(std::uint64_t qid, NodeId at,
       // Results live with the engine; a real deployment ships them back in
       // one message, which we account for here.
       bus_.send(at, q->requester, net::MsgType::kFoundNotice,
-                config_.query_msg_bytes,
+                params::kQueryMsgBytes,
                 [this, qid] { queries_.finish(qid); });
     }
     return;
@@ -154,7 +166,7 @@ void NewscastSystem::query_hop(std::uint64_t qid, NodeId at,
     return;
   }
   const NodeId next = (*view)[rng_.pick_index(view->size())].id;
-  bus_.send(at, next, net::MsgType::kDutyQuery, config_.query_msg_bytes,
+  bus_.send(at, next, net::MsgType::kDutyQuery, params::kQueryMsgBytes,
             [this, qid, next, ttl] { query_hop(qid, next, ttl - 1); });
 }
 

@@ -25,28 +25,16 @@ struct ViewEntry {
   SimTime heard_at = 0;
 };
 
-struct NewscastConfig {
-  std::size_t view_size = 11;          ///< ≈ log2(n); set per experiment
-  /// Exchange cadence.  The paper equalizes the three §IV.A protocols'
-  /// traffic; at PID-CAN's default maintenance rates that lands Newscast
-  /// near one exchange per minute.
-  SimTime gossip_period = seconds(60);
-  SimTime entry_ttl = seconds(600);    ///< same freshness bound as records
-  std::size_t query_forward_ttl = 6;   ///< random-forward hops per query
-  SimTime query_timeout = seconds(90);
-  std::size_t view_msg_bytes = 600;
-  std::size_t query_msg_bytes = 128;
-  double periodic_jitter = 0.1;
-};
-
 class NewscastSystem {
  public:
   using AvailabilityProvider =
       std::function<std::optional<ResourceVector>(NodeId)>;
   using Callback = query::PendingQueries::Callback;
 
+  /// Views hold at most `view_size` entries (the experiment uses
+  /// ≈ log2(n)).
   NewscastSystem(sim::Simulator& sim, net::MessageBus& bus,
-                 NewscastConfig config, Rng rng);
+                 std::size_t view_size, Rng rng);
 
   void set_availability_provider(AvailabilityProvider p) {
     provider_ = std::move(p);
@@ -59,10 +47,10 @@ class NewscastSystem {
   /// Storage density of the view map (slot_span/size).
   [[nodiscard]] double span_ratio() const { return views_.span_ratio(); }
 
-  /// Bytes claimed by the gossip views (the dense map plus every view's
+  /// Bytes claimed by the gossip views (the dense maps plus every view's
   /// entry array; attribution-profiler hook).
   [[nodiscard]] std::size_t mem_bytes() const {
-    std::size_t b = views_.mem_bytes();
+    std::size_t b = views_.mem_bytes() + incarnations_.mem_bytes();
     for (const auto& [id, view] : views_) {
       (void)id;
       b += view.capacity() * sizeof(ViewEntry);
@@ -85,7 +73,6 @@ class NewscastSystem {
              std::size_t want, Callback cb);
 
   [[nodiscard]] const std::vector<ViewEntry>& view_of(NodeId id) const;
-  [[nodiscard]] const NewscastConfig& config() const { return config_; }
   [[nodiscard]] const query::QueryStats& stats() const {
     return queries_.stats();
   }
@@ -100,10 +87,11 @@ class NewscastSystem {
 
   sim::Simulator& sim_;
   net::MessageBus& bus_;
-  NewscastConfig config_;
+  std::size_t view_size_;
   Rng rng_;
   AvailabilityProvider provider_;
   DenseNodeMap<std::vector<ViewEntry>> views_;  ///< dense by NodeId
+  Incarnations incarnations_;
   query::PendingQueries queries_;
 };
 

@@ -8,6 +8,17 @@
 
 namespace soc::index {
 
+namespace {
+constexpr std::size_t kIndexSamplesPerLevel = 2;
+constexpr std::size_t kPiCapacity = 64;
+/// An index entry only says "this node holds records"; it stays useful
+/// well past one record TTL because duty caches refill every update cycle,
+/// so it outlives the 600 s record age.
+constexpr SimTime kPiTtl = seconds(1800);
+constexpr std::size_t kIndexMsgBytes = 64;
+constexpr std::size_t kProbeMsgBytes = 48;
+}  // namespace
+
 IndexSystem::IndexSystem(sim::Simulator& sim, net::MessageBus& bus,
                          can::CanSpace& space, InscanConfig config, Rng rng)
     : sim_(sim), bus_(bus), space_(space), config_(config), rng_(rng),
@@ -27,8 +38,8 @@ IndexSystem::IndexSystem(sim::Simulator& sim, net::MessageBus& bus,
 IndexSystem::NodeState& IndexSystem::state(NodeId id) {
   if (NodeState* st = state_.find(id)) return *st;
   return state_.emplace(
-      id, NodeState{RecordStore{}, PiList(config_.pi_capacity, config_.pi_ttl),
-                    IndexTable(space_.dims(), config_.index_samples_per_level,
+      id, NodeState{RecordStore{}, PiList(kPiCapacity, kPiTtl),
+                    IndexTable(space_.dims(), kIndexSamplesPerLevel,
                                config_.index_entry_ttl),
                     rng_.fork(id.value)});
 }
@@ -51,6 +62,7 @@ void IndexSystem::add_node(NodeId id) {
 void IndexSystem::remove_node(NodeId id) {
   state_.erase(id);
   last_location_.erase(id);
+  incarnations_.end(id);
   // Safe point: called from departure/partition teardown with no NodeState
   // references outstanding (the rehome listener re-looks-up per call).
   state_.maybe_compact();
@@ -78,7 +90,7 @@ void IndexSystem::restore_node(NodeId id, ParkedNode parked) {
   reconcile_parked(st.cache, std::move(split), space_.zone_of(id),
                    sim_.now(), [this, id](const Record& r) {
                      route(id, r.location, net::MsgType::kStateUpdate,
-                           config_.state_msg_bytes, [this, r](NodeId duty) {
+                           params::kStateMsgBytes, [this, r](NodeId duty) {
                              if (!state_.contains(duty)) return;
                              cache(duty).put(r);
                            });
@@ -121,34 +133,36 @@ std::string IndexSystem::check_membership_consistency() const {
 }
 
 void IndexSystem::start_periodics(NodeId id) {
-  // Every periodic body first checks the node is still a tracked member,
-  // returning false to retire the process after departure.
+  // Every periodic body first checks the node is still a member in the
+  // incarnation that started it, returning false to retire the process
+  // after departure or a rejoin.
+  const std::uint32_t inc = incarnations_.start(id);
   sim_.schedule_periodic(
       config_.state_update_period,
-      [this, id] {
-        if (!state_.contains(id) || !space_.contains(id)) return false;
+      [this, id, inc] {
+        if (!current(id, inc)) return false;
         publish_now(id);
         return true;
       },
       /*phase=*/static_cast<SimTime>(
           state(id).rng.uniform_int(1, config_.state_update_period)),
-      config_.periodic_jitter);
+      params::kPeriodicJitter);
 
   sim_.schedule_periodic(
       config_.diffusion_period,
-      [this, id] {
-        if (!state_.contains(id) || !space_.contains(id)) return false;
+      [this, id, inc] {
+        if (!current(id, inc)) return false;
         diffuse_now(id);
         return true;
       },
       static_cast<SimTime>(
           state(id).rng.uniform_int(1, config_.diffusion_period)),
-      config_.periodic_jitter);
+      params::kPeriodicJitter);
 
   sim_.schedule_periodic(
       config_.index_refresh_period,
-      [this, id] {
-        if (!state_.contains(id) || !space_.contains(id)) return false;
+      [this, id, inc] {
+        if (!current(id, inc)) return false;
         for (std::size_t d = 0; d < space_.dims(); ++d) {
           probe_now(id, d, can::Direction::kNegative);
           probe_now(id, d, can::Direction::kPositive);
@@ -157,7 +171,7 @@ void IndexSystem::start_periodics(NodeId id) {
       },
       static_cast<SimTime>(
           state(id).rng.uniform_int(1, config_.index_refresh_period)),
-      config_.periodic_jitter);
+      params::kPeriodicJitter);
 }
 
 // ---------------------------------------------------------------------------
@@ -166,7 +180,7 @@ void IndexSystem::start_periodics(NodeId id) {
 void IndexSystem::route(NodeId from, const can::Point& target,
                         net::MsgType type, std::size_t bytes,
                         ArriveFn on_arrive) {
-  router_.route(from, target, type, bytes, config_.route_ttl,
+  router_.route(from, target, type, bytes, params::kRouteTtl,
                 std::move(on_arrive));
 }
 
@@ -187,14 +201,14 @@ void IndexSystem::publish_now(NodeId id) {
   if (last != nullptr && space_.size() > 0 &&
       space_.owner_of(*last) != space_.owner_of(record->location)) {
     ++activity_.invalidations;
-    route(id, *last, net::MsgType::kStateUpdate, config_.index_msg_bytes,
+    route(id, *last, net::MsgType::kStateUpdate, kIndexMsgBytes,
           [this, id](NodeId old_duty) { cache(old_duty).erase(id); });
   }
   last_location_[id] = record->location;
   ++activity_.publishes;
 
   route(id, record->location, net::MsgType::kStateUpdate,
-        config_.state_msg_bytes,
+        params::kStateMsgBytes,
         [this, r = *record](NodeId duty) { cache(duty).put(r); });
 }
 
@@ -236,7 +250,7 @@ void IndexSystem::diffuse_now(NodeId id) {
       const auto target = pick_index_node(id, j, can::Direction::kNegative);
       if (!target.has_value()) continue;
       bus_.send(id, *target, net::MsgType::kIndexDiffuse,
-                config_.index_msg_bytes, [this, at = *target, id, j, L] {
+                kIndexMsgBytes, [this, at = *target, id, j, L] {
                   handle_diffuse(at, id, j, L);
                 });
       return;
@@ -254,7 +268,7 @@ void IndexSystem::diffuse_now(NodeId id) {
         const auto target = pick_index_node(id, d, can::Direction::kNegative);
         if (!target.has_value()) break;
         bus_.send(id, *target, net::MsgType::kIndexDiffuse,
-                  config_.index_msg_bytes, [this, at = *target, id] {
+                  kIndexMsgBytes, [this, at = *target, id] {
                     if (!state_.contains(at) || !space_.contains(at)) return;
                     ++activity_.diffusion_relays;
                     pi_list(at).add(id, sim_.now());
@@ -281,7 +295,7 @@ void IndexSystem::spread_dimension(NodeId at, NodeId subject,
       if (!target.has_value()) break;
       sent = true;
       bus_.send(at, *target, net::MsgType::kIndexDiffuse,
-                config_.index_msg_bytes, [this, t = *target, subject, j] {
+                kIndexMsgBytes, [this, t = *target, subject, j] {
                   if (!state_.contains(t) || !space_.contains(t)) return;
                   ++activity_.diffusion_relays;
                   pi_list(t).add(subject, sim_.now());
@@ -303,7 +317,7 @@ void IndexSystem::handle_diffuse(NodeId at, NodeId subject, std::size_t dim,
     if (const auto next = pick_index_node(at, dim, can::Direction::kNegative);
         next.has_value()) {
       bus_.send(at, *next, net::MsgType::kIndexDiffuse,
-                config_.index_msg_bytes,
+                kIndexMsgBytes,
                 [this, n = *next, subject, dim, ttl] {
                   handle_diffuse(n, subject, dim, ttl - 1);
                 });
@@ -315,7 +329,7 @@ void IndexSystem::handle_diffuse(NodeId at, NodeId subject, std::size_t dim,
     const auto next = pick_index_node(at, j, can::Direction::kNegative);
     if (!next.has_value()) continue;
     bus_.send(at, *next, net::MsgType::kIndexDiffuse,
-              config_.index_msg_bytes,
+              kIndexMsgBytes,
               [this, n = *next, subject, j,
                L = config_.index_fanout_L] { handle_diffuse(n, subject, j, L); });
     break;
@@ -354,7 +368,7 @@ void IndexSystem::probe_step(NodeId at,
     // One report message back to the origin with all collected samples; the
     // walk state rides along, so the closure stays slot-sized.
     bus_.send(at, walk->origin, net::MsgType::kIndexProbe,
-              config_.probe_msg_bytes, [this, walk] {
+              kProbeMsgBytes, [this, walk] {
                 if (!state_.contains(walk->origin)) return;
                 IndexTable& tbl = table(walk->origin);
                 for (const auto& e : walk->found) {
@@ -372,14 +386,14 @@ void IndexSystem::probe_step(NodeId at,
   }
 
   space_.directional_neighbors(at, walk->dim, walk->dir, dir_scratch_);
-  if (dir_scratch_.empty() || walk->hops >= config_.route_ttl) {
+  if (dir_scratch_.empty() || walk->hops >= params::kRouteTtl) {
     finish();
     return;
   }
   NodeState& origin_state = state(walk->origin);
   const NodeId next =
       dir_scratch_[origin_state.rng.pick_index(dir_scratch_.size())];
-  bus_.send(at, next, net::MsgType::kIndexProbe, config_.probe_msg_bytes,
+  bus_.send(at, next, net::MsgType::kIndexProbe, kProbeMsgBytes,
             [this, next, walk] {
               ++walk->hops;
               probe_step(next, walk);

@@ -25,6 +25,7 @@
 #include "src/can/router.hpp"
 #include "src/can/space.hpp"
 #include "src/common/dense_node_map.hpp"
+#include "src/common/protocol_params.hpp"
 #include "src/index/index_table.hpp"
 #include "src/index/pi_list.hpp"
 #include "src/index/record.hpp"
@@ -50,27 +51,20 @@ enum class SpreadingScope : std::uint8_t {
   kCascade,       // ω-based: receivers spawn the next dimension themselves
 };
 
+/// What callers vary: the diffusion method and the three ablation axes
+/// (the experiment sets them from the protocol kind and the sweep
+/// variant), and the four periods (bench_micro pushes them past its run to
+/// freeze periodic traffic).  Everything else is a constant in inscan.cpp
+/// or src/common/protocol_params.hpp.
 struct InscanConfig {
+  DiffusionMethod diffusion = DiffusionMethod::kHopping;
   std::size_t index_fanout_L = 2;           ///< L (paper fixes it to 2)
-  SimTime record_ttl = seconds(600);        ///< state message age
-  SimTime state_update_period = seconds(400);
+  IndexSelectPolicy select_policy = IndexSelectPolicy::kRandomPowerLevel;
+  SpreadingScope spreading_scope = SpreadingScope::kSenderTracks;
+  SimTime state_update_period = params::kStateUpdatePeriod;
   SimTime diffusion_period = seconds(100);  ///< Alg. 1 "tiny cycle"
   SimTime index_refresh_period = seconds(900);
   SimTime index_entry_ttl = seconds(2700);
-  std::size_t index_samples_per_level = 2;
-  std::size_t pi_capacity = 64;
-  /// An index entry only says "this node holds records"; it stays useful
-  /// well past one record TTL because duty caches refill every update
-  /// cycle, so it outlives the 600 s record age.
-  SimTime pi_ttl = seconds(1800);
-  DiffusionMethod diffusion = DiffusionMethod::kHopping;
-  SpreadingScope spreading_scope = SpreadingScope::kSenderTracks;
-  IndexSelectPolicy select_policy = IndexSelectPolicy::kRandomPowerLevel;
-  std::size_t route_ttl = 512;              ///< safety cap on greedy hops
-  std::size_t state_msg_bytes = 200;
-  std::size_t index_msg_bytes = 64;
-  std::size_t probe_msg_bytes = 48;
-  double periodic_jitter = 0.1;
 };
 
 class IndexSystem {
@@ -185,6 +179,7 @@ class IndexSystem {
   /// (attribution-profiler hook; O(members), report-time only).
   [[nodiscard]] std::size_t mem_bytes() const {
     std::size_t b = state_.mem_bytes() + last_location_.mem_bytes() +
+                    incarnations_.mem_bytes() +
                     dir_scratch_.capacity() * sizeof(NodeId);
     for (const auto& [id, st] : state_) {
       (void)id;
@@ -236,6 +231,10 @@ class IndexSystem {
 
   NodeState& state(NodeId id);
   void start_periodics(NodeId id);
+  /// Whether `id` is still a member in incarnation `inc`.
+  [[nodiscard]] bool current(NodeId id, std::uint32_t inc) const {
+    return incarnations_.current(id, inc) && space_.contains(id);
+  }
   void handle_diffuse(NodeId at, NodeId subject, std::size_t dim,
                       std::size_t ttl);
   /// SID spreading: emit L next-dimension messages from `at` (the sender
@@ -253,6 +252,7 @@ class IndexSystem {
   /// Where each provider's previous record was filed, so a republish can
   /// invalidate the stale copy when the availability point moved zones.
   DenseNodeMap<can::Point> last_location_;
+  Incarnations incarnations_;
   /// Scratch for allocation-free directional-neighbor filtering (the
   /// simulation is single-threaded; every user copies its pick out before
   /// the next refill).

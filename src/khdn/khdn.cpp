@@ -3,9 +3,9 @@
 namespace soc::khdn {
 
 KhdnSystem::KhdnSystem(sim::Simulator& sim, net::MessageBus& bus,
-                       can::CanSpace& space, KhdnConfig config, Rng rng)
-    : sim_(sim), bus_(bus), space_(space), config_(config), rng_(rng),
-      queries_(sim, config.query_timeout), router_(space, bus) {
+                       can::CanSpace& space, std::size_t k_hops, Rng rng)
+    : sim_(sim), bus_(bus), space_(space), k_hops_(k_hops), rng_(rng),
+      queries_(sim, params::kQueryTimeout), router_(space, bus) {
   can::CanSpace::Listener listener;
   listener.on_rehome = [this](NodeId from, NodeId to) {
     if (!caches_.contains(from)) return;
@@ -26,21 +26,25 @@ void KhdnSystem::add_node(NodeId id) {
 }
 
 void KhdnSystem::start_periodic(NodeId id) {
+  const std::uint32_t inc = incarnations_.start(id);
   sim_.schedule_periodic(
-      config_.state_update_period,
-      [this, id] {
-        if (!caches_.contains(id) || !space_.contains(id)) return false;
+      params::kStateUpdatePeriod,
+      [this, id, inc] {
+        if (!incarnations_.current(id, inc) || !space_.contains(id)) {
+          return false;
+        }
         publish_now(id);
         return true;
       },
       static_cast<SimTime>(
-          rng_.fork(id.value).uniform_int(1, config_.state_update_period)),
-      config_.periodic_jitter);
+          rng_.fork(id.value).uniform_int(1, params::kStateUpdatePeriod)),
+      params::kPeriodicJitter);
 }
 
 void KhdnSystem::remove_node(NodeId id) {
   caches_.erase(id);
   caches_.maybe_compact();  // teardown safe point: no cache refs outstanding
+  incarnations_.end(id);
 }
 
 index::RecordStore KhdnSystem::park_node(NodeId id) {
@@ -64,7 +68,7 @@ void KhdnSystem::restore_node(NodeId id, index::RecordStore parked) {
       caches_.emplace(id, std::move(parked)), std::move(split),
       space_.zone_of(id), sim_.now(), [this, id](const index::Record& r) {
         router_.route(id, r.location, net::MsgType::kStateUpdate,
-                      config_.state_msg_bytes, config_.route_ttl,
+                      params::kStateMsgBytes, params::kRouteTtl,
                       [this, r](NodeId duty) {
                         if (!caches_.contains(duty)) return;
                         cache(duty).put(r);
@@ -100,13 +104,13 @@ void KhdnSystem::publish_now(NodeId id) {
   if (!record.has_value()) return;
   // Stamp freshness here so providers need not know the TTL policy.
   record->published_at = sim_.now();
-  record->expires_at = sim_.now() + config_.record_ttl;
+  record->expires_at = sim_.now() + params::kRecordTtl;
   router_.route(id, record->location, net::MsgType::kStateUpdate,
-                config_.state_msg_bytes, config_.route_ttl,
+                params::kStateMsgBytes, params::kRouteTtl,
                 [this, r = *record](NodeId duty) {
                   if (!caches_.contains(duty)) return;
                   cache(duty).put(r);
-                  spread(duty, r, config_.k_hops);
+                  spread(duty, r, k_hops_);
                 });
 }
 
@@ -120,7 +124,7 @@ void KhdnSystem::spread(NodeId at, const index::Record& record,
                                  dir_scratch_);
     if (dir_scratch_.empty()) continue;
     const NodeId target = dir_scratch_[rng_.pick_index(dir_scratch_.size())];
-    bus_.send(at, target, net::MsgType::kKhdnSpread, config_.state_msg_bytes,
+    bus_.send(at, target, net::MsgType::kKhdnSpread, params::kStateMsgBytes,
               [this, target, record, hops_left] {
                 if (!caches_.contains(target)) return;
                 cache(target).put(record);
@@ -135,13 +139,13 @@ void KhdnSystem::query(NodeId requester, const ResourceVector& demand,
   const std::uint64_t qid =
       queries_.begin(requester, demand, want, std::move(cb));
   router_.route(requester, target, net::MsgType::kDutyQuery,
-                config_.query_msg_bytes, config_.route_ttl,
+                params::kQueryMsgBytes, params::kRouteTtl,
                 [this, qid](NodeId duty) {
                   query::PendingQueries::Query* q = queries_.find(qid);
                   if (q == nullptr) return;
                   q->reached.insert(duty);
                   q->outstanding = 1;
-                  scan_visit(qid, duty, config_.k_hops);
+                  scan_visit(qid, duty, k_hops_);
                 });
 }
 
@@ -164,7 +168,7 @@ void KhdnSystem::scan_visit(std::uint64_t qid, NodeId at,
     }
     if (fresh > 0) {
       bus_.send(at, q->requester, net::MsgType::kFoundNotice,
-                config_.notice_msg_bytes, [] {});
+                params::kNoticeMsgBytes, [] {});
     }
     if (q->satisfied()) {
       queries_.finish(qid);
@@ -182,7 +186,7 @@ void KhdnSystem::scan_visit(std::uint64_t qid, NodeId at,
         const NodeId n = dir_scratch_[rng_.pick_index(dir_scratch_.size())];
         if (!q->reached.insert(n).second) continue;
         ++q->outstanding;
-        bus_.send(at, n, net::MsgType::kDutyQuery, config_.query_msg_bytes,
+        bus_.send(at, n, net::MsgType::kDutyQuery, params::kQueryMsgBytes,
                   [this, qid, n, hops_left] {
                     scan_visit(qid, n, hops_left - 1);
                   });

@@ -15,6 +15,7 @@
 #include "src/can/router.hpp"
 #include "src/can/space.hpp"
 #include "src/common/dense_node_map.hpp"
+#include "src/common/protocol_params.hpp"
 #include "src/index/record.hpp"
 #include "src/net/message_bus.hpp"
 #include "src/query/pending.hpp"
@@ -22,30 +23,22 @@
 
 namespace soc::khdn {
 
-struct KhdnConfig {
-  std::size_t k_hops = 2;             ///< spreading/scan radius K
-  SimTime record_ttl = seconds(600);
-  SimTime state_update_period = seconds(400);
-  SimTime query_timeout = seconds(90);
-  std::size_t route_ttl = 512;
-  std::size_t state_msg_bytes = 200;
-  std::size_t query_msg_bytes = 128;
-  std::size_t notice_msg_bytes = 160;
-  double periodic_jitter = 0.1;
-};
+/// The spreading and scan radius K of the §IV.A comparison.
+inline constexpr std::size_t kHops = 2;
 
 class KhdnSystem {
  public:
   using AvailabilityProvider =
       std::function<std::optional<index::Record>(NodeId)>;
   using Callback = query::PendingQueries::Callback;
-  using Config = KhdnConfig;
+  /// What core::CanAdapter hands the constructor: K.
+  using Config = std::size_t;
   /// A partitioned-out member's state: its duty cache.
   using ParkedNode = index::RecordStore;
 
   /// Installs the CanSpace listener, so records re-home on zone changes.
   KhdnSystem(sim::Simulator& sim, net::MessageBus& bus, can::CanSpace& space,
-             KhdnConfig config, Rng rng);
+             std::size_t k_hops, Rng rng);
   KhdnSystem(const KhdnSystem&) = delete;
   KhdnSystem& operator=(const KhdnSystem&) = delete;
 
@@ -59,10 +52,10 @@ class KhdnSystem {
   /// Storage density of the duty-cache map (slot_span/size).
   [[nodiscard]] double span_ratio() const { return caches_.span_ratio(); }
 
-  /// Bytes claimed by the duty caches (the dense map plus every
+  /// Bytes claimed by the duty caches (the dense maps plus every
   /// RecordStore's arrays; attribution-profiler hook).
   [[nodiscard]] std::size_t mem_bytes() const {
-    std::size_t b = caches_.mem_bytes();
+    std::size_t b = caches_.mem_bytes() + incarnations_.mem_bytes();
     for (const auto& [id, cache] : caches_) {
       (void)id;
       b += cache.mem_bytes();
@@ -107,10 +100,11 @@ class KhdnSystem {
   sim::Simulator& sim_;
   net::MessageBus& bus_;
   can::CanSpace& space_;
-  KhdnConfig config_;
+  std::size_t k_hops_;
   Rng rng_;
   AvailabilityProvider provider_;
   DenseNodeMap<index::RecordStore> caches_;  ///< dense by NodeId
+  Incarnations incarnations_;
   /// Scratch for allocation-free directional-neighbor filtering.
   std::vector<NodeId> dir_scratch_;
   /// Scratch for allocation-free qualified-record harvests.

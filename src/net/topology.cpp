@@ -4,6 +4,12 @@
 
 namespace soc::net {
 
+namespace {
+/// Table I: LAN 5–10 Mbps, WAN access 0.2–2 Mbps.
+constexpr double kLanMbpsLo = 5.0, kLanMbpsHi = 10.0;
+constexpr double kWanMbpsLo = 0.2, kWanMbpsHi = 2.0;
+}  // namespace
+
 Topology::Topology(TopologyConfig config, Rng rng)
     : config_(config), rng_(rng) {
   SOC_CHECK(config_.lan_size > 0);
@@ -12,12 +18,9 @@ Topology::Topology(TopologyConfig config, Rng rng)
 NodeId Topology::add_host() {
   const std::size_t lan = hosts_.size() / config_.lan_size;
   if (lan >= lan_bandwidth_mbps_.size()) {
-    lan_bandwidth_mbps_.push_back(rng_.uniform(config_.lan_bandwidth_mbps_lo,
-                                               config_.lan_bandwidth_mbps_hi));
+    lan_bandwidth_mbps_.push_back(rng_.uniform(kLanMbpsLo, kLanMbpsHi));
   }
-  hosts_.push_back(Host{
-      lan, rng_.uniform(config_.wan_bandwidth_mbps_lo,
-                        config_.wan_bandwidth_mbps_hi)});
+  hosts_.push_back(Host{lan, rng_.uniform(kWanMbpsLo, kWanMbpsHi)});
   return NodeId(static_cast<std::uint32_t>(hosts_.size() - 1));
 }
 
@@ -45,7 +48,7 @@ double Topology::bandwidth_mbps(NodeId a, NodeId b) const {
 }
 
 SimTime Topology::base_latency(NodeId a, NodeId b) const {
-  return same_lan(a, b) ? config_.lan_latency : config_.wan_latency;
+  return same_lan(a, b) ? kLanLatency : kWanLatency;
 }
 
 SimTime Topology::transfer_delay(NodeId a, NodeId b, std::size_t bytes,

@@ -12,14 +12,15 @@
 
 namespace soc::net {
 
+/// One-way propagation delay within a LAN and across the WAN (the paper:
+/// ~200 ms per WAN delay).
+inline constexpr SimTime kLanLatency = millis(1);
+inline constexpr SimTime kWanLatency = millis(200);
+
+/// What unit tests vary: small LANs for multi-LAN topologies, and no
+/// jitter for exact delays.
 struct TopologyConfig {
   std::size_t lan_size = 50;            ///< hosts per LAN
-  double lan_bandwidth_mbps_lo = 5.0;   ///< Table I: LAN 5–10 Mbps
-  double lan_bandwidth_mbps_hi = 10.0;
-  double wan_bandwidth_mbps_lo = 0.2;   ///< Table I: WAN 0.2–2 Mbps
-  double wan_bandwidth_mbps_hi = 2.0;
-  SimTime lan_latency = millis(1);      ///< one-way propagation, same LAN
-  SimTime wan_latency = millis(200);    ///< paper: ~200 ms per WAN delay
   double latency_jitter = 0.1;          ///< ± fraction applied per message
 };
 
@@ -60,8 +61,6 @@ class Topology {
   /// `b`, with deterministic jitter drawn from `jitter_rng`.
   [[nodiscard]] SimTime transfer_delay(NodeId a, NodeId b, std::size_t bytes,
                                        Rng& jitter_rng) const;
-
-  [[nodiscard]] const TopologyConfig& config() const { return config_; }
 
  private:
   struct Host {

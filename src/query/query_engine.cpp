@@ -2,11 +2,15 @@
 
 #include <algorithm>
 
+#include "src/common/protocol_params.hpp"
 #include "src/obs/trace.hpp"
 
 namespace soc::query {
 
 namespace {
+
+/// Indexes an agent samples from its PIList into the jump list j (Alg. 4).
+constexpr std::size_t kJumpListSize = 4;
 
 /// Remove-and-return a random element; the message carries the remainder
 /// ({ι − α} / {j − β} in the paper's notation).
@@ -20,9 +24,8 @@ NodeId take_random(std::vector<NodeId>& v, Rng& rng) {
 
 }  // namespace
 
-QueryEngine::QueryEngine(index::IndexSystem& index, QueryConfig config)
-    : index_(index), config_(config),
-      queries_(index.simulator(), config.timeout),
+QueryEngine::QueryEngine(index::IndexSystem& index)
+    : index_(index), queries_(index.simulator(), params::kQueryTimeout),
       rng_(index.simulator().rng().fork("query-engine")) {}
 
 void QueryEngine::submit_k(NodeId requester, const ResourceVector& demand,
@@ -33,7 +36,7 @@ void QueryEngine::submit_k(NodeId requester, const ResourceVector& demand,
       queries_.begin(requester, demand, want, std::move(cb));
   // Alg. 3: route the duty-query message to the node whose zone encloses v.
   index_.route(requester, target, net::MsgType::kDutyQuery,
-               config_.query_msg_bytes,
+               params::kQueryMsgBytes,
                [this, qid](NodeId duty) { on_duty_node(qid, duty); });
 }
 
@@ -74,7 +77,7 @@ void QueryEngine::on_duty_node(std::uint64_t qid, NodeId duty) {
   }
   const NodeId alpha = take_random(agents, rng_);
   index_.bus().send(duty, alpha, net::MsgType::kIndexAgent,
-                    config_.query_msg_bytes,
+                    params::kQueryMsgBytes,
                     [this, qid, alpha, agents = std::move(agents)] {
                       on_index_agent(qid, alpha, agents);
                     });
@@ -89,7 +92,7 @@ void QueryEngine::on_index_agent(std::uint64_t qid, NodeId at,
 
   // Alg. 4 line 1: sample a few indexes from the PIList into j.
   std::vector<NodeId> jumps = index_.pi_list(at).sample(
-      config_.jump_list_size, index_.simulator().now(), rng_);
+      kJumpListSize, index_.simulator().now(), rng_);
 
   const std::size_t remaining =
       q->want > q->results.size() ? q->want - q->results.size() : 0;
@@ -101,7 +104,7 @@ void QueryEngine::on_index_agent(std::uint64_t qid, NodeId at,
   if (!jumps.empty()) {
     const NodeId beta = take_random(jumps, rng_);
     index_.bus().send(at, beta, net::MsgType::kIndexJump,
-                      config_.query_msg_bytes,
+                      params::kQueryMsgBytes,
                       [this, qid, beta, jumps = std::move(jumps),
                        agents = std::move(agents), remaining] {
                         on_index_jump(qid, beta, jumps, agents, remaining);
@@ -112,7 +115,7 @@ void QueryEngine::on_index_agent(std::uint64_t qid, NodeId at,
   if (!agents.empty()) {
     const NodeId alpha = take_random(agents, rng_);
     index_.bus().send(at, alpha, net::MsgType::kIndexAgent,
-                      config_.query_msg_bytes,
+                      params::kQueryMsgBytes,
                       [this, qid, alpha, agents = std::move(agents)] {
                         on_index_agent(qid, alpha, agents);
                       });
@@ -150,7 +153,7 @@ std::size_t QueryEngine::harvest_and_notify(std::uint64_t qid, NodeId at,
     q->seen_providers.insert(r.provider);
   }
   index_.bus().send(
-      at, q->requester, net::MsgType::kFoundNotice, config_.notice_msg_bytes,
+      at, q->requester, net::MsgType::kFoundNotice, params::kNoticeMsgBytes,
       [this, qid, found = std::move(found)] {
         PendingQueries::Query* open = queries_.find(qid);
         if (open == nullptr) return;
@@ -179,7 +182,7 @@ void QueryEngine::on_index_jump(std::uint64_t qid, NodeId at,
   if (!jumps.empty()) {
     const NodeId beta = take_random(jumps, rng_);
     index_.bus().send(at, beta, net::MsgType::kIndexJump,
-                      config_.query_msg_bytes,
+                      params::kQueryMsgBytes,
                       [this, qid, beta, jumps = std::move(jumps),
                        agents = std::move(agents), delta] {
                         on_index_jump(qid, beta, jumps, agents, delta);
@@ -190,7 +193,7 @@ void QueryEngine::on_index_jump(std::uint64_t qid, NodeId at,
   if (!agents.empty()) {
     const NodeId alpha = take_random(agents, rng_);
     index_.bus().send(at, alpha, net::MsgType::kIndexAgent,
-                      config_.query_msg_bytes,
+                      params::kQueryMsgBytes,
                       [this, qid, alpha, agents = std::move(agents)] {
                         on_index_agent(qid, alpha, agents);
                       });
@@ -208,7 +211,7 @@ void QueryEngine::submit_full_range(NodeId requester,
   const std::uint64_t qid =
       queries_.begin(requester, demand, /*want=*/SIZE_MAX, std::move(cb));
   index_.route(requester, target, net::MsgType::kDutyQuery,
-               config_.query_msg_bytes, [this, qid, target](NodeId duty) {
+               params::kQueryMsgBytes, [this, qid, target](NodeId duty) {
                  PendingQueries::Query* q = queries_.find(qid);
                  if (q == nullptr) return;
                  q->outstanding = 1;
@@ -241,7 +244,7 @@ void QueryEngine::flood_visit(std::uint64_t qid, NodeId at,
       q->reached.insert(n);
       ++q->outstanding;
       index_.bus().send(at, n, net::MsgType::kDutyQuery,
-                        config_.query_msg_bytes, [this, qid, n, corner] {
+                        params::kQueryMsgBytes, [this, qid, n, corner] {
                           flood_visit(qid, n, corner);
                         });
     }

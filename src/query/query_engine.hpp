@@ -21,18 +21,11 @@
 
 namespace soc::query {
 
-struct QueryConfig {
-  std::size_t jump_list_size = 4;    ///< indexes sampled into j (Alg. 4)
-  SimTime timeout = seconds(90);     ///< requester-side deadline
-  std::size_t query_msg_bytes = 128;
-  std::size_t notice_msg_bytes = 160;
-};
-
 class QueryEngine {
  public:
   using Callback = PendingQueries::Callback;
 
-  QueryEngine(index::IndexSystem& index, QueryConfig config);
+  explicit QueryEngine(index::IndexSystem& index);
 
   /// Submit the PID-CAN query for `want` (δ, first-k) results.  `target`
   /// is the CAN point of the demand (normalized expectation vector; the VD
@@ -47,7 +40,6 @@ class QueryEngine {
                          const can::Point& target, Callback cb);
 
   [[nodiscard]] const QueryStats& stats() const { return queries_.stats(); }
-  [[nodiscard]] const QueryConfig& config() const { return config_; }
 
  private:
   void on_duty_node(std::uint64_t qid, NodeId duty);
@@ -67,7 +59,6 @@ class QueryEngine {
   /// Scratch for allocation-free qualified-record harvests (single-threaded;
   /// every harvest finishes with the records copied out before the next).
   std::vector<index::Record> record_scratch_;
-  QueryConfig config_;
   PendingQueries queries_;
   Rng rng_;
 };

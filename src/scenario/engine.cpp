@@ -49,7 +49,7 @@ void ScenarioEngine::churn_tick() {
 
   const double events_per_s = degree *
                               static_cast<double>(ex_.config().nodes) /
-                              ex_.config().churn_window_s;
+                              core::kChurnWindowS;
   const SimTime delay =
       std::max<SimTime>(seconds(rng_.exponential(1.0 / events_per_s)), 1);
   if (now + delay > horizon) return;

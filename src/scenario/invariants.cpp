@@ -150,9 +150,9 @@ InvariantReport check_invariants(core::Experiment& ex, Rng& rng) {
     chk.expect(ex.host_alive(id),
                "partitioned id " + std::to_string(id.value) + " is dead");
   }
+  const std::string name = core::protocol_name(ex.config().protocol);
   chk.expect(same_ids(ex.protocol().parked_ids(), cut),
-             ex.protocol().name() +
-                 ": parked protocol state != experiment's partitioned set");
+             name + ": parked protocol state != experiment's partitioned set");
 
   // 5–7. Overlay + index layers, per protocol family.  Partitioned hosts
   // are alive but out of the overlay, so the membership oracle is
@@ -166,9 +166,9 @@ InvariantReport check_invariants(core::Experiment& ex, Rng& rng) {
     alive = std::move(connected);
   }
   if (auto* overlay = dynamic_cast<core::CanProtocol*>(&ex.protocol())) {
-    check_can_space(chk, overlay->space(), alive, overlay->name());
+    check_can_space(chk, overlay->space(), alive, name);
     chk.expect_clean(overlay->check_membership_consistency(),
-                     overlay->name() + " membership");
+                     name + " membership");
     const SimTime now = ex.simulator().now();
     for (const NodeId id : overlay->tracked_ids()) {
       check_record_store(chk, overlay->cache(id), id, overlay->cmax(), now,

@@ -5,13 +5,6 @@
 
 namespace soc::scenario {
 
-void CapacitySkew::apply(workload::NodeGenConfig& cfg) const {
-  cfg.weak_fraction = weak_fraction;
-  cfg.weak_scale = weak_scale;
-  cfg.strong_fraction = strong_fraction;
-  cfg.strong_scale = strong_scale;
-}
-
 double ScenarioSpec::churn_degree_at(SimTime t) const {
   double degree = 0.0;
   for (const ChurnPhase& p : phases) {

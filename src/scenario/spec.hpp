@@ -67,30 +67,14 @@ struct Partition {
   SimTime duration = 0;
 };
 
-/// Heterogeneous node capacities: a fraction of joining hosts is scaled
-/// weak, another fraction strong.  Applied by wiring the skew into the
-/// workload NodeGenerator, so it covers both the initial population and
-/// every later scenario/churn join.
-struct CapacitySkew {
-  double weak_fraction = 0.0;
-  double weak_scale = 1.0;
-  double strong_fraction = 0.0;
-  double strong_scale = 1.0;
-
-  [[nodiscard]] bool enabled() const {
-    return weak_fraction > 0.0 || strong_fraction > 0.0;
-  }
-
-  /// Wire into the node generator config (workload layer).
-  void apply(workload::NodeGenConfig& cfg) const;
-};
-
 struct ScenarioSpec {
   std::vector<ChurnPhase> phases;    ///< sorted by start
   std::vector<JoinBurst> bursts;     ///< sorted by at
   std::vector<MassFailure> failures; ///< sorted by at
   std::vector<Partition> partitions; ///< sorted by at
-  CapacitySkew skew;
+  /// Wired into the experiment's NodeGenerator, so it shapes the initial
+  /// population and every later scenario/churn join alike.
+  workload::CapacitySkew skew;
 
   [[nodiscard]] bool enabled() const {
     return !phases.empty() || !bursts.empty() || !failures.empty() ||

@@ -261,27 +261,27 @@ bool apply_variant(const std::string& name, core::ExperimentConfig& config) {
     return true;
   }
   if (const auto fanout = numeric_suffix("fanout")) {
-    config.inscan.index_fanout_L = *fanout;
+    config.index_fanout_L = *fanout;
     return true;
   }
   if (name == "sel-random") {
-    config.inscan.select_policy = index::IndexSelectPolicy::kRandomPowerLevel;
+    config.select_policy = index::IndexSelectPolicy::kRandomPowerLevel;
     return true;
   }
   if (name == "sel-nearest") {
-    config.inscan.select_policy = index::IndexSelectPolicy::kNearestOnly;
+    config.select_policy = index::IndexSelectPolicy::kNearestOnly;
     return true;
   }
   if (name == "sel-uniform") {
-    config.inscan.select_policy = index::IndexSelectPolicy::kUniformEntry;
+    config.select_policy = index::IndexSelectPolicy::kUniformEntry;
     return true;
   }
   if (name == "spread-strict") {
-    config.inscan.spreading_scope = index::SpreadingScope::kSenderTracks;
+    config.spreading_scope = index::SpreadingScope::kSenderTracks;
     return true;
   }
   if (name == "spread-cascade") {
-    config.inscan.spreading_scope = index::SpreadingScope::kCascade;
+    config.spreading_scope = index::SpreadingScope::kCascade;
     return true;
   }
   if (name == "detached") {

@@ -106,7 +106,7 @@ struct SweepSpec {
 /// Apply a named config modifier — the ablation axis:
 ///   base            — no-op (the paper's defaults);
 ///   delta<N>        — want_results = N (first-k result count δ);
-///   fanout<N>       — inscan.index_fanout_L = N (diffusion fan-out L);
+///   fanout<N>       — index_fanout_L = N (diffusion fan-out L);
 ///   sel-random / sel-nearest / sel-uniform — NINode selection policy;
 ///   spread-strict / spread-cascade — SID spreading-scope reading;
 ///   detached / tasks-lost / checkpoint — churn task policy.

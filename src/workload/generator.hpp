@@ -4,42 +4,32 @@
 // 3000 s mean inter-arrival per node.
 #pragma once
 
-#include <array>
-
 #include "src/common/rng.hpp"
 #include "src/psm/task.hpp"
 
 namespace soc::workload {
 
-/// Table I host population.
-struct NodeGenConfig {
-  std::array<int, 4> processors{1, 2, 4, 8};
-  std::array<double, 4> rate_per_processor{1.0, 2.0, 2.4, 3.2};
-  std::array<double, 4> io_speed{20, 40, 60, 80};
-  std::array<double, 4> memory_mb{512, 1024, 2048, 4096};
-  std::array<double, 4> disk_gb{20, 60, 120, 240};
-  double net_lo = 5.0;   ///< node network capacity: its LAN rate, 5–10 Mbps
-  double net_hi = 10.0;
-
-  /// Optional population heterogeneity (set by the scenario layer's
-  /// CapacitySkew): each generated capacity vector is scaled whole by
-  /// weak_scale with probability weak_fraction, by strong_scale with
-  /// probability strong_fraction, else left at Table I values.  When
-  /// disabled (the default) generate() draws exactly the same RNG sequence
-  /// as before the knob existed, so default trajectories are unchanged.
+/// Heterogeneous node capacities (the scenario layer's capacity skew): each
+/// generated capacity vector is scaled whole by weak_scale with probability
+/// weak_fraction, by strong_scale with probability strong_fraction, else
+/// left at Table I values.  Disabled (the default), it costs
+/// NodeGenerator::generate() no RNG draw, so default trajectories are
+/// unchanged.
+struct CapacitySkew {
   double weak_fraction = 0.0;
   double weak_scale = 1.0;
   double strong_fraction = 0.0;
   double strong_scale = 1.0;
 
-  [[nodiscard]] bool skewed() const {
+  [[nodiscard]] bool enabled() const {
     return weak_fraction > 0.0 || strong_fraction > 0.0;
   }
 };
 
+/// Table I host population.
 class NodeGenerator {
  public:
-  explicit NodeGenerator(NodeGenConfig config = {}) : config_(config) {}
+  explicit NodeGenerator(CapacitySkew skew = {}) : skew_(skew) {}
 
   /// Draw one host capacity vector {CPU, I/O, net, disk, memory}.
   [[nodiscard]] ResourceVector generate(Rng& rng) const;
@@ -49,41 +39,23 @@ class NodeGenerator {
   [[nodiscard]] ResourceVector cmax() const;
 
  private:
-  NodeGenConfig config_;
+  CapacitySkew skew_;
 };
 
-/// Table II task demands plus the execution-time model.
-struct TaskGenConfig {
-  double demand_ratio = 1.0;  ///< λ ∈ {1, 0.5, 0.25} in the paper
-  double cpu_lo = 1.0, cpu_hi = 25.6;
-  double io_lo = 20.0, io_hi = 80.0;
-  double net_lo = 0.1, net_hi = 10.0;
-  double disk_lo = 20.0, disk_hi = 240.0;
-  double mem_lo = 512.0, mem_hi = 4096.0;
-  /// Target execution time at expectation rates: exponential with this
-  /// mean, clamped to [min, max] (overall average ≈ 3000 s).
-  double mean_exec_seconds = 3000.0;
-  double min_exec_seconds = 300.0;
-  double max_exec_seconds = 12000.0;
-  /// Task input shipped at dispatch.
-  double input_bytes_lo = 200e3;
-  double input_bytes_hi = 1e6;
-};
-
+/// Table II task demands, scaled by the demand ratio λ, plus the
+/// execution-time model.
 class TaskGenerator {
  public:
-  explicit TaskGenerator(TaskGenConfig config) : config_(config) {
-    SOC_CHECK(config.demand_ratio > 0.0);
+  explicit TaskGenerator(double demand_ratio) : demand_ratio_(demand_ratio) {
+    SOC_CHECK(demand_ratio > 0.0);
   }
 
   /// Draw one task submitted by `origin` at time `now`.
   [[nodiscard]] psm::TaskSpec generate(NodeId origin, std::uint32_t seq,
                                        SimTime now, Rng& rng) const;
 
-  [[nodiscard]] const TaskGenConfig& config() const { return config_; }
-
  private:
-  TaskGenConfig config_;
+  double demand_ratio_;  ///< λ ∈ {1, 0.5, 0.25} in the paper
 };
 
 /// Poisson task arrivals: the next submission delay for any node.

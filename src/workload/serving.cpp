@@ -7,22 +7,27 @@
 
 namespace soc::workload {
 
+namespace {
+/// One day; the curve starts at its rising midpoint (phase 0).
+constexpr double kDiurnalPeriodHours = 24.0;
+/// Popularity exponent of the hot keys.
+constexpr double kZipfExponent = 1.0;
+}  // namespace
+
 double diurnal_factor(const ServingConfig& config, SimTime now) {
   if (!config.diurnal()) return 1.0;
-  SOC_CHECK(config.diurnal_period_hours > 0.0);
-  const double phase = to_hours(now) / config.diurnal_period_hours -
-                       config.diurnal_phase;
+  const double phase = to_hours(now) / kDiurnalPeriodHours;
   const double f = 1.0 + config.diurnal_amplitude *
                              std::sin(2.0 * 3.14159265358979323846 * phase);
   return std::max(f, 0.05);
 }
 
-ZipfGenerator::ZipfGenerator(std::size_t n, double exponent) {
+ZipfGenerator::ZipfGenerator(std::size_t n) {
   SOC_CHECK(n > 0);
   cdf_.reserve(n);
   double total = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
-    total += 1.0 / std::pow(static_cast<double>(k + 1), exponent);
+    total += 1.0 / std::pow(static_cast<double>(k + 1), kZipfExponent);
     cdf_.push_back(total);
   }
 }
@@ -47,10 +52,8 @@ std::optional<ServingConfig> serving_by_name(const std::string& name) {
       out.think_time_s = 3000.0;
     } else if (token == "zipf") {
       out.zipf_keys = 64;
-      out.zipf_exponent = 1.0;
     } else if (token == "diurnal") {
       out.diurnal_amplitude = 0.6;
-      out.diurnal_period_hours = 24.0;
     } else {
       return std::nullopt;
     }

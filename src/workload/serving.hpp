@@ -23,18 +23,15 @@ struct ServingConfig {
   double think_time_s = 3000.0;
 
   /// Hot-key skew: task demand vectors are drawn from this many fixed
-  /// "key" profiles with Zipf(`zipf_exponent`) popularity, instead of
-  /// fresh Table II draws — hot keys hammer the same duty-node region.
+  /// "key" profiles with Zipf(1) popularity, instead of fresh Table II
+  /// draws — hot keys hammer the same duty-node region.
   /// 0 = no skew.
   std::size_t zipf_keys = 0;
-  double zipf_exponent = 1.0;
 
   /// Diurnal curve: arrival (and think) rates are modulated by
-  /// 1 + amplitude * sin(2π(t/period − phase)), floored at 0.05.
-  /// amplitude 0 = flat load.
+  /// 1 + amplitude * sin(2π t / 24 h), floored at 0.05.  amplitude 0 =
+  /// flat load.
   double diurnal_amplitude = 0.0;
-  double diurnal_period_hours = 24.0;
-  double diurnal_phase = 0.0;
 
   [[nodiscard]] bool closed_loop() const { return clients_per_node > 0; }
   [[nodiscard]] bool skewed() const { return zipf_keys > 0; }
@@ -47,10 +44,10 @@ struct ServingConfig {
 /// Rate multiplier at simulated time `now` (1.0 whenever disabled).
 [[nodiscard]] double diurnal_factor(const ServingConfig& config, SimTime now);
 
-/// Inverse-CDF sampler over {0..n-1} with P(k) ∝ 1/(k+1)^s.
+/// Inverse-CDF sampler over {0..n-1} with P(k) ∝ 1/(k+1).
 class ZipfGenerator {
  public:
-  ZipfGenerator(std::size_t n, double exponent);
+  explicit ZipfGenerator(std::size_t n);
 
   [[nodiscard]] std::size_t draw(Rng& rng) const;
   [[nodiscard]] std::size_t keys() const { return cdf_.size(); }

@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/protocol_params.hpp"
 #include "src/core/experiment.hpp"
 #include "src/index/inscan.hpp"
 #include "src/net/topology.hpp"
@@ -111,7 +112,7 @@ IndexRun run_index_layer(std::uint64_t seed) {
         r.availability = it->second;
         r.location = can::Point::normalized(it->second, cmax);
         r.published_at = sim.now();
-        r.expires_at = sim.now() + index.config().record_ttl;
+        r.expires_at = sim.now() + params::kRecordTtl;
         return r;
       });
   Rng rng(seed + 4);

@@ -135,15 +135,18 @@ TEST(Experiment, DiagnosticsClassifyFailures) {
 }
 
 TEST(Experiment, SubmitTaskManually) {
-  auto config = small_config(ProtocolKind::kHidCan, 0.25);
-  config.mean_interarrival_s = 1e9;  // suppress the Poisson arrivals
+  const auto config = small_config(ProtocolKind::kHidCan, 0.25);
   Experiment ex(config);
   ex.setup();
   ex.simulator().run_until(seconds(1800));  // warm up indexes
+  // Each manual submission is one generated task, on top of the Poisson
+  // arrivals so far.
+  const std::uint64_t before = ex.task_metrics().generated();
   for (int i = 0; i < 10; ++i) ex.submit_task(NodeId(0));
+  EXPECT_EQ(ex.task_metrics().generated(), before + 10);
   ex.run();
   const auto r = ex.results();
-  EXPECT_EQ(r.generated, 10u);
+  EXPECT_GE(r.generated, before + 10);
   EXPECT_GT(r.finished, 5u);
 }
 

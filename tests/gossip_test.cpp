@@ -13,9 +13,9 @@ namespace {
 
 class GossipFixture {
  public:
-  GossipFixture(std::size_t n, std::uint64_t seed, NewscastConfig cfg = {})
+  GossipFixture(std::size_t n, std::uint64_t seed, std::size_t view_size = 11)
       : sim_(seed), topo_(net::TopologyConfig{}, Rng(seed + 1)),
-        bus_(sim_, topo_), system_(sim_, bus_, cfg, Rng(seed + 2)),
+        bus_(sim_, topo_), system_(sim_, bus_, view_size, Rng(seed + 2)),
         rng_(seed + 3) {
     system_.set_availability_provider(
         [this](NodeId id) -> std::optional<ResourceVector> {
@@ -51,9 +51,7 @@ class GossipFixture {
 };
 
 TEST(Newscast, ViewsFillUpToBound) {
-  NewscastConfig cfg;
-  cfg.view_size = 8;
-  GossipFixture fx(64, 5, cfg);
+  GossipFixture fx(64, 5, /*view_size=*/8);
   fx.sim_.run_until(seconds(1200));
   std::size_t total = 0;
   for (const NodeId id : fx.ids_) {

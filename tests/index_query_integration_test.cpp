@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "src/can/space.hpp"
+#include "src/common/protocol_params.hpp"
 #include "src/index/inscan.hpp"
 #include "src/net/message_bus.hpp"
 #include "src/net/topology.hpp"
@@ -38,11 +39,10 @@ class DiscoveryFixture {
           r.availability = it->second;
           r.location = can::Point::normalized(it->second, cmax_);
           r.published_at = sim_.now();
-          r.expires_at = sim_.now() + index_->config().record_ttl;
+          r.expires_at = sim_.now() + params::kRecordTtl;
           return r;
         });
-    query::QueryConfig qc;
-    engine_ = std::make_unique<query::QueryEngine>(*index_, qc);
+    engine_ = std::make_unique<query::QueryEngine>(*index_);
 
     for (std::size_t i = 0; i < n; ++i) {
       const NodeId id = topo_.add_host();

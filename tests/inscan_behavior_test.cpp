@@ -5,6 +5,7 @@
 
 #include <unordered_map>
 
+#include "src/common/protocol_params.hpp"
 #include "src/index/inscan.hpp"
 #include "src/net/topology.hpp"
 #include "src/sim/simulator.hpp"
@@ -27,7 +28,7 @@ struct InscanHarness {
           r.availability = it->second;
           r.location = can::Point::normalized(it->second, cmax);
           r.published_at = sim.now();
-          r.expires_at = sim.now() + index.config().record_ttl;
+          r.expires_at = sim.now() + params::kRecordTtl;
           return r;
         });
     for (std::size_t i = 0; i < n; ++i) {

@@ -15,10 +15,10 @@ namespace {
 class KhdnFixture {
  public:
   KhdnFixture(std::size_t n, std::size_t dims, std::uint64_t seed,
-              KhdnConfig cfg = {})
+              std::size_t k_hops = kHops)
       : sim_(seed), topo_(net::TopologyConfig{}, Rng(seed + 1)),
         bus_(sim_, topo_), space_(dims, Rng(seed + 2)),
-        system_(sim_, bus_, space_, cfg, Rng(seed + 3)), rng_(seed + 4),
+        system_(sim_, bus_, space_, k_hops, Rng(seed + 3)), rng_(seed + 4),
         cmax_(ResourceVector::filled(dims, 10.0)) {
     system_.set_availability_provider(
         [this](NodeId id) -> std::optional<index::Record> {
@@ -107,12 +107,8 @@ TEST(Khdn, ImpossibleDemandReturnsEmpty) {
 }
 
 TEST(Khdn, LargerKSpreadsFurther) {
-  KhdnConfig k1;
-  k1.k_hops = 1;
-  KhdnConfig k3;
-  k3.k_hops = 3;
-  KhdnFixture a(64, 2, 9, k1);
-  KhdnFixture b(64, 2, 9, k3);
+  KhdnFixture a(64, 2, 9, /*k_hops=*/1);
+  KhdnFixture b(64, 2, 9, /*k_hops=*/3);
   a.sim_.run_until(seconds(900));
   b.sim_.run_until(seconds(900));
   EXPECT_GT(b.bus_.stats().sent(net::MsgType::kKhdnSpread),

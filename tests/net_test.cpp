@@ -140,15 +140,13 @@ TEST(Topology, LanWanBoundaryUsesTheRightLatencyAndBandwidth) {
   // Hosts 3 and 4 are adjacent ids on opposite sides of the LAN boundary.
   EXPECT_TRUE(topo.same_lan(NodeId(0), NodeId(3)));
   EXPECT_FALSE(topo.same_lan(NodeId(3), NodeId(4)));
-  EXPECT_EQ(topo.base_latency(NodeId(0), NodeId(3)),
-            topo.config().lan_latency);
-  EXPECT_EQ(topo.base_latency(NodeId(3), NodeId(4)),
-            topo.config().wan_latency);
+  EXPECT_EQ(topo.base_latency(NodeId(0), NodeId(3)), kLanLatency);
+  EXPECT_EQ(topo.base_latency(NodeId(3), NodeId(4)), kWanLatency);
   // A zero-byte message isolates propagation latency exactly.
   EXPECT_EQ(topo.transfer_delay(NodeId(0), NodeId(3), 0, jitter),
-            topo.config().lan_latency);
+            kLanLatency);
   EXPECT_EQ(topo.transfer_delay(NodeId(3), NodeId(4), 0, jitter),
-            topo.config().wan_latency);
+            kWanLatency);
 }
 
 TEST(MessageBus, DeliversWithPositiveDelay) {

@@ -5,6 +5,7 @@
 
 #include <unordered_map>
 
+#include "src/common/protocol_params.hpp"
 #include "src/core/pidcan_protocol.hpp"
 #include "src/index/inscan.hpp"
 #include "src/net/topology.hpp"
@@ -24,7 +25,7 @@ struct Harness {
         bus(sim, topo), space(dims, Rng(seed + 2)),
         cmax(ResourceVector::filled(dims, 10.0)),
         index(sim, bus, space, index::InscanConfig{}, Rng(seed + 3)),
-        engine(index, query::QueryConfig{}), rng(seed + 4) {
+        engine(index), rng(seed + 4) {
     index.set_availability_provider(
         [this](NodeId id) -> std::optional<index::Record> {
           const auto it = avail.find(id);
@@ -34,7 +35,7 @@ struct Harness {
           r.availability = it->second;
           r.location = can::Point::normalized(it->second, cmax);
           r.published_at = sim.now();
-          r.expires_at = sim.now() + index.config().record_ttl;
+          r.expires_at = sim.now() + params::kRecordTtl;
           return r;
         });
     for (std::size_t i = 0; i < n; ++i) {
@@ -199,7 +200,6 @@ TEST(QueryEdge, VirtualDimensionProtocolEndToEnd) {
   const ResourceVector cmax{25.6, 80, 10, 240, 4096};
   core::PidCanProtocol proto(sim, bus, cmax, opt, Rng(63));
   EXPECT_EQ(proto.space().dims(), psm::kDims + 1);  // +1 virtual dim
-  EXPECT_EQ(proto.name(), "SID-CAN+VD");
 
   proto.set_availability_source(
       [](NodeId) -> std::optional<ResourceVector> {
@@ -234,7 +234,6 @@ TEST(QueryEdge, SosQueriesStillSatisfyOriginalDemand) {
   opt.inscan.diffusion = index::DiffusionMethod::kHopping;
   const ResourceVector cmax{25.6, 80, 10, 240, 4096};
   core::PidCanProtocol proto(sim, bus, cmax, opt, Rng(67));
-  EXPECT_EQ(proto.name(), "HID-CAN+SoS");
 
   Rng arng(68);
   std::unordered_map<std::uint32_t, ResourceVector> avail;

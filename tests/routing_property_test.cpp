@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "src/can/router.hpp"
+#include "src/common/protocol_params.hpp"
 #include "src/index/inscan.hpp"
 #include "src/net/topology.hpp"
 #include "src/sim/simulator.hpp"
@@ -125,8 +126,7 @@ TEST(RoutingProperty, RecordsSitAtOwnersAfterChurn) {
   net::Topology topo(net::TopologyConfig{}, Rng(18));
   net::MessageBus bus(sim, topo);
   can::CanSpace space(2, Rng(19));
-  index::InscanConfig cfg;
-  index::IndexSystem idx(sim, bus, space, cfg, Rng(20));
+  index::IndexSystem idx(sim, bus, space, index::InscanConfig{}, Rng(20));
   const ResourceVector cmax = ResourceVector::filled(2, 10.0);
   std::unordered_map<NodeId, ResourceVector> avail;
   idx.set_availability_provider(
@@ -138,7 +138,7 @@ TEST(RoutingProperty, RecordsSitAtOwnersAfterChurn) {
         r.availability = it->second;
         r.location = can::Point::normalized(it->second, cmax);
         r.published_at = sim.now();
-        r.expires_at = sim.now() + cfg.record_ttl;
+        r.expires_at = sim.now() + params::kRecordTtl;
         return r;
       });
   Rng rng(21);

@@ -1,10 +1,16 @@
 // Unit coverage for the scenario layer: spec opt-in semantics, randomized
 // spec determinism, capacity skew wiring through the workload generator,
-// and the engine's population effects (bursts, mass failures, phased
-// churn) — each checked against the global invariant set after the run.
+// the engine's population effects (bursts, mass failures, phased churn,
+// partitions) — each checked against the global invariant set after the
+// run — and the protocols' periodic processes across a short partition.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/core/experiment.hpp"
+#include "src/core/khdn_protocol.hpp"
+#include "src/core/newscast_protocol.hpp"
+#include "src/core/pidcan_protocol.hpp"
 #include "src/scenario/engine.hpp"
 #include "src/scenario/invariants.hpp"
 #include "src/scenario/spec.hpp"
@@ -57,21 +63,18 @@ TEST(ScenarioSpec, ChurnDegreeFollowsPhases) {
 }
 
 TEST(CapacitySkew, ScalesGeneratedVectorsWithoutPerturbingBaseDraws) {
-  workload::NodeGenConfig plain_cfg;
-  workload::NodeGenConfig weak_cfg;
-  scenario::CapacitySkew skew;
+  workload::CapacitySkew skew;
   skew.weak_fraction = 1.0;  // every draw lands in the weak band
   skew.weak_scale = 0.5;
-  skew.apply(weak_cfg);
-  ASSERT_TRUE(weak_cfg.skewed());
-  ASSERT_FALSE(plain_cfg.skewed());
+  ASSERT_TRUE(skew.enabled());
+  ASSERT_FALSE(workload::CapacitySkew{}.enabled());
 
   // For one vector from the same seed, the base table picks are
   // byte-identical and only the final scale differs — the skew roll comes
   // after all base draws.  (The roll does advance the stream, so each
   // comparison starts from a fresh seed.)
-  workload::NodeGenerator plain(plain_cfg);
-  workload::NodeGenerator weak(weak_cfg);
+  const workload::NodeGenerator plain;
+  const workload::NodeGenerator weak(skew);
   for (int i = 0; i < 50; ++i) {
     Rng rng_a(static_cast<std::uint64_t>(i) + 5);
     Rng rng_b(static_cast<std::uint64_t>(i) + 5);
@@ -140,7 +143,7 @@ TEST(ScenarioEngine, PhasedChurnRunsOnlyInChurningPhases) {
 
 TEST(ScenarioEngine, PartitionThenHealRestoresMembership) {
   core::ExperimentConfig cfg = base_config();
-  cfg.topology.lan_size = 8;  // 32 nodes → 4 LANs, so a spatial cut exists
+  cfg.nodes = 120;  // three 50-host LANs, so a LAN-boundary cut exists
   scenario::Partition part;
   part.at = seconds(600);
   part.fraction = 0.3;
@@ -183,7 +186,7 @@ TEST(ScenarioEngine, PartitionRunsAreDeterministicAcrossProtocols) {
         core::ProtocolKind::kNewscast}) {
     core::ExperimentConfig cfg = base_config();
     cfg.protocol = proto;
-    cfg.topology.lan_size = 8;
+    cfg.nodes = 120;  // three 50-host LANs
     cfg.scenario.partitions.push_back({seconds(500), 0.3, seconds(400)});
 
     const core::ExperimentResults a = core::run_experiment(cfg);
@@ -211,6 +214,63 @@ TEST(ScenarioEngine, ScenarioRunsAreDeterministic) {
   EXPECT_EQ(a.failed, b.failed);
   EXPECT_EQ(a.total_messages, b.total_messages);
   EXPECT_EQ(a.events_executed, b.events_executed);
+}
+
+// A partition shorter than one period: the rejoined node's pre-cut
+// periodic series finds it present again and must retire, leaving one
+// series per process.  Availability reads count a node's publications
+// (PID-CAN, KHDN-CAN) or the gossip exchanges it takes part in (Newscast,
+// whose 60 s period needs a shorter cut).
+TEST(PartitionRejoin, ShortCutLeavesOneSeriesPerPeriodicProcess) {
+  constexpr std::uint32_t kNodes = 16;
+  constexpr NodeId kCut{3};
+  struct Case {
+    core::ProtocolKind kind;
+    SimTime cut;
+  };
+  for (const Case c : {Case{core::ProtocolKind::kHidCan, seconds(50)},
+                       Case{core::ProtocolKind::kKhdnCan, seconds(50)},
+                       Case{core::ProtocolKind::kNewscast, seconds(2)}}) {
+    sim::Simulator sim(1);
+    net::Topology topo(net::TopologyConfig{}, Rng(2));
+    net::MessageBus bus(sim, topo);
+    const ResourceVector cmax = workload::NodeGenerator().cmax();
+    std::unique_ptr<core::DiscoveryProtocol> proto;
+    if (c.kind == core::ProtocolKind::kHidCan) {
+      proto = std::make_unique<core::PidCanProtocol>(
+          sim, bus, cmax, core::PidCanOptions{}, Rng(3));
+    } else if (c.kind == core::ProtocolKind::kKhdnCan) {
+      proto = std::make_unique<core::KhdnProtocol>(sim, bus, cmax, Rng(3));
+    } else {
+      proto = std::make_unique<core::NewscastProtocol>(
+          sim, bus, /*view_size=*/4, Rng(3));
+    }
+    std::vector<double> reads(kNodes, 0.0);
+    bool counting = false;
+    proto->set_availability_source(
+        [&](NodeId id) -> std::optional<ResourceVector> {
+          if (counting) ++reads[id.value];
+          return cmax * 0.5;
+        });
+    for (std::uint32_t i = 0; i < kNodes; ++i) {
+      proto->on_join(topo.add_host());
+    }
+    sim.run_until(seconds(2000));
+    proto->on_partition_out(kCut);
+    sim.run_until(seconds(2000) + c.cut);
+    proto->on_rejoin(kCut);
+    counting = true;
+    sim.run_until(sim.now() + seconds(8000));
+
+    double others = 0.0;
+    for (std::uint32_t i = 0; i < kNodes; ++i) {
+      if (NodeId(i) != kCut) others += reads[i];
+    }
+    others /= kNodes - 1;
+    EXPECT_NEAR(reads[kCut.value], others, 0.15 * others)
+        << core::protocol_name(c.kind) << ": reads of the rejoined node vs "
+        << "the others' mean";
+  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // sim_fuzz — randomized scenario schedules with interval invariant checks.
 //
 // Each schedule draws a random experiment configuration (protocol, scale,
-// duration, demand ratio, churn policy) plus a random ScenarioSpec (phased
-// churn, flash-crowd bursts, correlated mass failures, capacity skew),
-// runs it stepwise, and asserts the global invariant set of
-// src/scenario/invariants.hpp at a configurable simulated-time interval.
+// duration, demand ratio, churn policy, link faults, serving workload) plus
+// a random ScenarioSpec (phased churn, flash-crowd bursts, correlated mass
+// failures, capacity skew, partitions), runs it stepwise, and asserts the
+// global invariant set of src/scenario/invariants.hpp at a configurable
+// simulated-time interval.
 //
 // Everything derives from one base seed: schedule k uses
 // Rng(seed).fork("sim-fuzz").fork(k), so
@@ -33,9 +34,9 @@
 // identical config whether or not a budget is set, so a violation found
 // under a time budget replays with the usual `--seed S --only K`.
 //
-// The default ctest entry runs 50 schedules (a few seconds); the `nightly`
-// ctest configuration runs a wall-clock-bounded budget (see CMakeLists /
-// ci.sh).
+// The default ctest entry runs 300 schedules (about a second); the
+// `nightly` ctest configuration runs a wall-clock-bounded budget (see
+// CMakeLists / ci.sh).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -47,6 +48,7 @@
 #include "src/obs/trace.hpp"
 #include "src/scenario/invariants.hpp"
 #include "src/scenario/spec.hpp"
+#include "src/workload/serving.hpp"
 
 namespace {
 
@@ -126,18 +128,45 @@ core::ExperimentConfig random_config(Rng& rng, const FuzzOptions& opt) {
     lf.straggler_fraction = rng.uniform(0.0, 0.15);
     lf.straggler_multiplier = rng.uniform(1.5, 4.0);
   }
+  // Serving draw on a named fork, so every draw above is unchanged and a
+  // schedule that draws no serving config stays byte-identical.  About a
+  // third of schedules run closed-loop clients, Zipf keys, a diurnal curve
+  // or a combination of them.
+  Rng serving_rng = rng.fork("serving");
+  if (serving_rng.chance(1.0 / 3.0)) {
+    static constexpr const char* kServing[] = {
+        "closed",         "zipf",         "diurnal",
+        "closed+zipf",    "closed+diurnal", "zipf+diurnal",
+        "closed+zipf+diurnal"};
+    cfg.serving = *workload::serving_by_name(
+        kServing[serving_rng.pick_index(std::size(kServing))]);
+  }
   return cfg;
 }
 
+/// The serving preset a config runs, in serving_by_name's tokens.
+std::string serving_name(const workload::ServingConfig& s) {
+  std::string out;
+  for (const auto& [on, token] : {std::pair{s.closed_loop(), "closed"},
+                                  std::pair{s.skewed(), "zipf"},
+                                  std::pair{s.diurnal(), "diurnal"}}) {
+    if (!on) continue;
+    if (!out.empty()) out += '+';
+    out += token;
+  }
+  return out.empty() ? "off" : out;
+}
+
 std::string config_line(const core::ExperimentConfig& cfg) {
-  char buf[192];
+  char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "protocol=%s nodes=%zu duration=%.0fs lambda=%.2f "
-                "base-churn=%.2f policy=%s faults=%s seed=%llu",
+                "base-churn=%.2f policy=%s faults=%s serving=%s seed=%llu",
                 core::protocol_name(cfg.protocol).c_str(), cfg.nodes,
                 to_seconds(cfg.duration), cfg.demand_ratio,
                 cfg.churn_dynamic_degree, policy_name(cfg.churn_task_policy),
                 cfg.link_faults.enabled ? "on" : "off",
+                serving_name(cfg.serving).c_str(),
                 static_cast<unsigned long long>(cfg.seed));
   return buf;
 }

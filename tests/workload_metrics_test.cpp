@@ -13,7 +13,6 @@ namespace {
 
 using metrics::TaskMetrics;
 using workload::NodeGenerator;
-using workload::TaskGenConfig;
 using workload::TaskGenerator;
 
 TEST(NodeGenerator, CapacitiesWithinTableIRanges) {
@@ -55,11 +54,7 @@ TEST(NodeGenerator, DiscreteValuesComeFromTable) {
 }
 
 TEST(TaskGenerator, DemandScalesWithLambda) {
-  TaskGenConfig half;
-  half.demand_ratio = 0.5;
-  TaskGenConfig quarter;
-  quarter.demand_ratio = 0.25;
-  const TaskGenerator g_half(half), g_quarter(quarter);
+  const TaskGenerator g_half(0.5), g_quarter(0.25);
   Rng rng(4);
   double sum_half = 0, sum_quarter = 0;
   for (int i = 0; i < 2000; ++i) {
@@ -71,9 +66,7 @@ TEST(TaskGenerator, DemandScalesWithLambda) {
 }
 
 TEST(TaskGenerator, DemandsWithinTableIIRanges) {
-  TaskGenConfig cfg;
-  cfg.demand_ratio = 1.0;
-  const TaskGenerator gen(cfg);
+  const TaskGenerator gen(1.0);
   Rng rng(5);
   for (int i = 0; i < 1000; ++i) {
     const auto t = gen.generate(NodeId(1), static_cast<std::uint32_t>(i),
@@ -91,9 +84,7 @@ TEST(TaskGenerator, DemandsWithinTableIIRanges) {
 }
 
 TEST(TaskGenerator, MeanExecutionTimeNear3000s) {
-  TaskGenConfig cfg;
-  cfg.demand_ratio = 0.5;
-  const TaskGenerator gen(cfg);
+  const TaskGenerator gen(0.5);
   Rng rng(6);
   double sum = 0;
   const int n = 20000;
@@ -106,9 +97,7 @@ TEST(TaskGenerator, MeanExecutionTimeNear3000s) {
 }
 
 TEST(TaskGenerator, WorkloadMatchesExpectationTimesExecTime) {
-  TaskGenConfig cfg;
-  cfg.demand_ratio = 0.5;
-  const TaskGenerator gen(cfg);
+  const TaskGenerator gen(0.5);
   Rng rng(7);
   const auto t = gen.generate(NodeId(0), 0, 0, rng);
   const double exec = t.expected_exec_seconds();
