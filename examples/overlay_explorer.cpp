@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   const NodeId sample = ids[0];
   std::printf("   node %u owns zone %s with %zu neighbors\n", sample.value,
               space.zone_of(sample).to_string().c_str(),
-              space.neighbors_of(sample).size());
+              space.neighbor_links(sample).size());
   if (dims == 2 && n <= 80) {
     std::printf("\n%s", can::render_ascii(space, 72, 24).c_str());
   }

@@ -30,16 +30,19 @@
 #                           # that are neither blank nor start with //,
 #                           # per directory and in total (no build)
 #   scripts/ci.sh perfbench # builds the repository benchmark (perfbench/)
-#                           # against this tree and runs three workloads
+#                           # against this tree and runs four workloads
 #                           # for 5 s each: figure-fig4 (the sweep
 #                           # shard/merge path), scale-20k (the >2000-
 #                           # node check path: event-queue integrity and
 #                           # the bus in-flight check on a ~250k-event
-#                           # queue) and churn-faults (2000 nodes through
+#                           # queue), churn-faults (2000 nodes through
 #                           # a partition, its heal and checkpoint
 #                           # restarts, with the invariant checker after
-#                           # each); fails unless each result line
-#                           # reports "correct": true and "failed": 0
+#                           # each) and serving-hot (closed-loop clients
+#                           # and Zipf-hot keys under the full invariant
+#                           # checker at 1000 nodes); fails unless each
+#                           # result line reports "correct": true and
+#                           # "failed": 0
 #
 # Re-baseline bookkeeping: `cmake --build build --target archive_baseline`
 # copies bench/BENCH_baseline.json into bench/history/ (regen_goldens does
@@ -82,7 +85,7 @@ fi
 if [ "$lane" = "perfbench" ]; then
   cd "$root"
   mkdir -p .bench_build
-  for workload in figure-fig4 scale-20k churn-faults; do
+  for workload in figure-fig4 scale-20k churn-faults serving-hot; do
     out=".bench_build/ci-perfbench-$workload.out"
     status=0
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 5 \

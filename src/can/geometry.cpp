@@ -59,31 +59,11 @@ bool Zone::contains(const Point& p) const {
   return true;
 }
 
-bool Zone::overlaps_dim(const Zone& o, std::size_t d) const {
-  return lo_[d] < o.hi_[d] && o.lo_[d] < hi_[d];
-}
-
 bool Zone::overlaps(const Zone& o) const {
   SOC_DCHECK(o.dims() == dims());
   for (std::size_t i = 0; i < dims(); ++i)
     if (!overlaps_dim(o, i)) return false;
   return true;
-}
-
-bool Zone::abuts_dim(const Zone& o, std::size_t d) const {
-  return hi_[d] == o.lo_[d] || o.hi_[d] == lo_[d];
-}
-
-std::optional<std::size_t> Zone::adjacency_dim(const Zone& o) const {
-  SOC_DCHECK(o.dims() == dims());
-  std::optional<std::size_t> abut;
-  for (std::size_t i = 0; i < dims(); ++i) {
-    if (overlaps_dim(o, i)) continue;
-    if (!abuts_dim(o, i)) return std::nullopt;  // gap on this axis
-    if (abut.has_value()) return std::nullopt;  // corner contact only
-    abut = i;
-  }
-  return abut;  // nullopt means full overlap (shouldn't happen for zones)
 }
 
 std::pair<Zone, Zone> Zone::split(std::size_t d) const {

@@ -96,23 +96,44 @@ class Zone {
   /// Containment with the closed-top-edge convention.
   [[nodiscard]] bool contains(const Point& p) const;
 
+  // The four box relations below take `o` as a Zone or as a packed
+  // ZoneRow (zone_row.hpp): any box with dims(), lo(d) and hi(d).
+
   /// Positive-measure overlap of the projections onto dimension d.
-  [[nodiscard]] bool overlaps_dim(const Zone& o, std::size_t d) const;
+  template <class Box>
+  [[nodiscard]] bool overlaps_dim(const Box& o, std::size_t d) const {
+    return lo_[d] < o.hi(d) && o.lo(d) < hi_[d];
+  }
   /// Full-box positive-measure intersection.
   [[nodiscard]] bool overlaps(const Zone& o) const;
 
   /// The two zones abut along dimension d (share a (d-1)-face boundary
   /// coordinate on that axis) — does not check the other dimensions.
-  [[nodiscard]] bool abuts_dim(const Zone& o, std::size_t d) const;
+  template <class Box>
+  [[nodiscard]] bool abuts_dim(const Box& o, std::size_t d) const {
+    return hi_[d] == o.lo(d) || o.hi(d) == lo_[d];
+  }
 
   /// CAN adjacency (the paper's "adjacent neighbors"): the boxes abut along
   /// exactly one dimension and overlap with positive measure in all others.
   /// Returns the abutting dimension, or nullopt.
-  [[nodiscard]] std::optional<std::size_t> adjacency_dim(const Zone& o) const;
+  template <class Box>
+  [[nodiscard]] std::optional<std::size_t> adjacency_dim(const Box& o) const {
+    SOC_DCHECK(o.dims() == dims());
+    std::optional<std::size_t> abut;
+    for (std::size_t i = 0; i < dims(); ++i) {
+      if (overlaps_dim(o, i)) continue;
+      if (!abuts_dim(o, i)) return std::nullopt;  // gap on this axis
+      if (abut.has_value()) return std::nullopt;  // corner contact only
+      abut = i;
+    }
+    return abut;  // nullopt means full overlap (shouldn't happen for zones)
+  }
 
   /// True when `o` lies on the positive side of *this along `dim` (o starts
   /// where this ends).  Only meaningful when abuts_dim(o, dim).
-  [[nodiscard]] bool positive_side(const Zone& o, std::size_t dim) const {
+  template <class Box>
+  [[nodiscard]] bool positive_side(const Box& o, std::size_t dim) const {
     return o.lo(dim) == hi(dim);
   }
 

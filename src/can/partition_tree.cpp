@@ -1,6 +1,6 @@
 #include "src/can/partition_tree.hpp"
 
-#include <cmath>
+#include <array>
 
 namespace soc::can {
 
@@ -8,7 +8,6 @@ PartitionTree::PartitionTree(std::size_t dims, NodeId first_owner)
     : dims_(dims), root_(std::make_unique<TreeNode>()) {
   SOC_CHECK(dims > 0 && dims <= kMaxDims);
   SOC_CHECK(first_owner.valid());
-  root_->zone = Zone::unit(dims);
   root_->owner = first_owner;
   leaves_.emplace(first_owner, root_.get());
 }
@@ -20,27 +19,36 @@ PartitionTree::TreeNode* PartitionTree::leaf_for(NodeId id) const {
   return *it;
 }
 
-const Zone& PartitionTree::zone_of(NodeId id) const {
-  return leaf_for(id)->zone;
-}
-
 NodeId PartitionTree::owner_of(const Point& p) const {
+  // Descend with the running box.  Its midpoint is the expression
+  // Zone::split halves at, and every midpoint is below 1, so for p inside
+  // the box the lower half contains p exactly when p[d] < mid.
+  std::array<double, kMaxDims> lo{};
+  std::array<double, kMaxDims> hi;
+  hi.fill(1.0);
   const TreeNode* t = root_.get();
   while (!t->is_leaf()) {
-    t = t->left->zone.contains(p) ? t->left.get() : t->right.get();
+    const std::size_t d = t->depth % dims_;
+    const double mid = 0.5 * (lo[d] + hi[d]);
+    if (p[d] < mid) {
+      hi[d] = mid;
+      t = t->left.get();
+    } else {
+      lo[d] = mid;
+      t = t->right.get();
+    }
   }
-  SOC_DCHECK(t->zone.contains(p));
   return t->owner;
 }
 
-Zone PartitionTree::split(NodeId owner, NodeId joiner,
-                          const std::optional<Point>& joiner_point) {
+std::size_t PartitionTree::split_dim(NodeId owner) const {
+  return leaf_for(owner)->depth % dims_;
+}
+
+void PartitionTree::split(NodeId owner, NodeId joiner, bool joiner_lower) {
   SOC_CHECK(joiner.valid());
   SOC_CHECK_MSG(!leaves_.contains(joiner), "joiner already owns a zone");
   TreeNode* leaf = leaf_for(owner);
-
-  const std::size_t dim = leaf->depth % dims_;
-  auto [lo_half, hi_half] = leaf->zone.split(dim);
 
   leaf->left = std::make_unique<TreeNode>();
   leaf->right = std::make_unique<TreeNode>();
@@ -48,24 +56,15 @@ Zone PartitionTree::split(NodeId owner, NodeId joiner,
     child->parent = leaf;
     child->depth = leaf->depth + 1;
   }
-  leaf->left->zone = lo_half;
-  leaf->right->zone = hi_half;
 
-  // The joiner takes the half containing its chosen point (so its own
-  // availability record tends to land in its zone); default: upper half.
-  TreeNode* joiner_leaf = leaf->right.get();
-  TreeNode* owner_leaf = leaf->left.get();
-  if (joiner_point.has_value() && lo_half.contains(*joiner_point)) {
-    joiner_leaf = leaf->left.get();
-    owner_leaf = leaf->right.get();
-  }
+  TreeNode* joiner_leaf = joiner_lower ? leaf->left.get() : leaf->right.get();
+  TreeNode* owner_leaf = joiner_lower ? leaf->right.get() : leaf->left.get();
   joiner_leaf->owner = joiner;
   owner_leaf->owner = owner;
   leaf->owner = NodeId{};
 
   leaves_[owner] = owner_leaf;
   leaves_.emplace(joiner, joiner_leaf);
-  return joiner_leaf->zone;
 }
 
 PartitionTree::TreeNode* PartitionTree::find_sibling_leaf_pair(TreeNode* t) {
@@ -121,18 +120,6 @@ PartitionTree::Repair PartitionTree::leave(NodeId owner) {
   repair.reassigned_to = y;
   leaves_.maybe_compact();  // values are TreeNode*; no references held
   return repair;
-}
-
-bool PartitionTree::tiles_unit_cube() const {
-  // Volumes of leaves must sum to 1 and each internal node's children must
-  // exactly partition it; the construction guarantees the latter, so the
-  // volume check plus leaf-count consistency is sufficient.
-  double vol = 0.0;
-  for (const auto& [_, leaf] : leaves_) {
-    if (!leaf->is_leaf()) return false;
-    vol += leaf->zone.volume();
-  }
-  return std::abs(vol - 1.0) < 1e-9;
 }
 
 }  // namespace soc::can

@@ -3,11 +3,16 @@
 // live node owns exactly one valid (binary-split-shaped) zone — this is the
 // "binary partition tree based background zone reassignment algorithm"
 // ([14], used by the paper for its node-churning experiments).
+//
+// The tree keeps only the split topology.  A node's zone is fixed by its
+// path: each level halves its parent's box at the midpoint along
+// depth % dims (Zone::split), so the zones themselves live once, in
+// CanSpace's packed rows, and owner_of() recomputes the box as it descends.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/can/geometry.hpp"
@@ -19,10 +24,9 @@ namespace soc::can {
 class PartitionTree {
  public:
   struct TreeNode {
-    Zone zone;
-    std::size_t depth = 0;
     TreeNode* parent = nullptr;
-    std::unique_ptr<TreeNode> left, right;
+    std::unique_ptr<TreeNode> left, right;  ///< lower and upper half
+    std::uint32_t depth = 0;
     NodeId owner;  // valid iff leaf
 
     [[nodiscard]] bool is_leaf() const { return !left; }
@@ -50,23 +54,21 @@ class PartitionTree {
     return leaves_.contains(id);
   }
 
-  [[nodiscard]] const Zone& zone_of(NodeId id) const;
-
-  /// Owner of the leaf containing p (tree descent oracle).
+  /// Owner of the leaf containing p, a point of the unit cube (tree
+  /// descent: one coordinate comparison per level).
   [[nodiscard]] NodeId owner_of(const Point& p) const;
 
-  /// Split the leaf owned by `owner` along `depth % dims` (the original
-  /// CAN's cyclic split order).  `owner` keeps the half containing
-  /// `keep_point` hint if provided, otherwise the lower half; `joiner`
-  /// receives the other half.  Returns the joiner's zone.
-  Zone split(NodeId owner, NodeId joiner,
-             const std::optional<Point>& joiner_point = std::nullopt);
+  /// The dimension split() halves `owner`'s zone along: depth % dims, the
+  /// original CAN's cyclic split order.
+  [[nodiscard]] std::size_t split_dim(NodeId owner) const;
+
+  /// Split the leaf owned by `owner` along split_dim(owner).  `joiner`
+  /// receives the lower half when `joiner_lower`, else the upper half;
+  /// `owner` keeps the other.
+  void split(NodeId owner, NodeId joiner, bool joiner_lower);
 
   /// Remove `owner`'s leaf and repair the tree.  Requires leaf_count() > 1.
   Repair leave(NodeId owner);
-
-  /// Test oracle: zones of all leaves tile the unit cube exactly.
-  [[nodiscard]] bool tiles_unit_cube() const;
 
   /// Bytes claimed by the tree nodes plus the leaf map
   /// (attribution-profiler hook; O(nodes) walk, report-time only).

@@ -6,6 +6,16 @@
 
 namespace soc::can {
 
+namespace {
+/// The first link whose id is not below `id` (links are sorted by id).
+template <class Links>
+auto lower_link(Links& links, NodeId id) {
+  return std::lower_bound(
+      links.begin(), links.end(), id,
+      [](const CanSpace::NeighborLink& l, NodeId v) { return l.id < v; });
+}
+}  // namespace
+
 CanSpace::CanSpace(std::size_t dims, Rng rng) : dims_(dims), rng_(rng) {
   SOC_CHECK(dims > 0 && dims <= kMaxDims);
 }
@@ -42,45 +52,39 @@ void CanSpace::free_row(std::uint32_t row) {
   free_rows_.push_back(row);
 }
 
-void CanSpace::sync_row(NodeId id) {
-  ZoneRow::pack(tree_->zone_of(id),
-                rows_.data() + member(id).row * ZoneRow::stride(dims_));
+void CanSpace::write_row(NodeId id, const Zone& zone) {
+  ZoneRow::pack(zone, rows_.data() + member(id).row * ZoneRow::stride(dims_));
 }
 
 void CanSpace::upsert_link(Member& m, NodeId id, std::uint8_t dim,
                            bool positive) {
-  const auto it = std::lower_bound(m.neighbors.begin(), m.neighbors.end(), id);
-  const auto pos = it - m.neighbors.begin();
-  if (it == m.neighbors.end() || *it != id) {
-    m.neighbors.insert(it, id);
-    m.links.insert(m.links.begin() + pos, NeighborLink{id, dim, positive});
+  const auto it = lower_link(m.links, id);
+  if (it == m.links.end() || it->id != id) {
+    m.links.insert(it, NeighborLink{id, dim, positive});
     return;
   }
   // Already neighbors: the abutting dimension/side may have changed with a
   // zone update, so always rewrite the cached metadata.
-  m.links[static_cast<std::size_t>(pos)] = NeighborLink{id, dim, positive};
+  *it = NeighborLink{id, dim, positive};
 }
 
 void CanSpace::erase_link(Member& m, NodeId id) {
-  const auto it = std::lower_bound(m.neighbors.begin(), m.neighbors.end(), id);
-  if (it != m.neighbors.end() && *it == id) {
-    m.links.erase(m.links.begin() + (it - m.neighbors.begin()));
-    m.neighbors.erase(it);
-  }
+  const auto it = lower_link(m.links, id);
+  if (it != m.links.end() && it->id == id) m.links.erase(it);
 }
 
 void CanSpace::refresh_against(NodeId id,
                                const std::vector<NodeId>& candidates) {
   Member& m = member(id);
-  const Zone& zone = tree_->zone_of(id);
+  const Zone zone = zone_row(m).zone();
   for (const NodeId c : candidates) {
     if (c == id || !members_.contains(c)) continue;
     Member& other = member(c);
-    const Zone& other_zone = tree_->zone_of(c);
-    const auto adim = zone.adjacency_dim(other_zone);
+    const ZoneRow other_row = zone_row(other);
+    const auto adim = zone.adjacency_dim(other_row);
     if (adim.has_value()) {
       const auto dim = static_cast<std::uint8_t>(*adim);
-      const bool positive = zone.positive_side(other_zone, *adim);
+      const bool positive = zone.positive_side(other_row, *adim);
       upsert_link(m, c, dim, positive);
       upsert_link(other, id, dim, !positive);
     } else {
@@ -91,13 +95,7 @@ void CanSpace::refresh_against(NodeId id,
 }
 
 void CanSpace::drop_from_all_neighbors(NodeId id) {
-  for (const NodeId n : member(id).neighbors) {
-    erase_link(member(n), id);
-  }
-}
-
-void CanSpace::notify_topology(NodeId id) {
-  if (listener_.on_topology_changed) listener_.on_topology_changed(id);
+  for (const NeighborLink& l : member(id).links) erase_link(member(l.id), id);
 }
 
 Point CanSpace::join(NodeId id, std::optional<Point> point_hint) {
@@ -111,35 +109,36 @@ Point CanSpace::join(NodeId id, std::optional<Point> point_hint) {
 
   if (!tree_.has_value()) {
     tree_.emplace(dims_, id);
-    members_.emplace(id, Member{alloc_row(), {}, {}});
-    sync_row(id);
-    notify_topology(id);
+    members_.emplace(id, Member{alloc_row(), {}});
+    write_row(id, Zone::unit(dims_));
     return p;
   }
 
+  // The joiner takes the half of the owner's zone that contains its point
+  // (so its own availability record tends to land in its zone).
   const NodeId owner = tree_->owner_of(p);
-  tree_->split(owner, id, p);
+  const auto [lower, upper] = zone_of(owner).split(tree_->split_dim(owner));
+  const bool joiner_lower = lower.contains(p);
+  tree_->split(owner, id, joiner_lower);
 
   // Candidates for both halves: the splitter's old neighborhood plus the
   // two halves against each other.
-  std::vector<NodeId> candidates = member(owner).neighbors;
+  std::vector<NodeId> candidates;
+  for (const NeighborLink& l : member(owner).links) candidates.push_back(l.id);
   candidates.push_back(owner);
 
   // Insert the joiner before touching the owner again: DenseNodeMap growth
   // invalidates outstanding references.
-  members_.emplace(id, Member{alloc_row(), {}, {}});
-  sync_row(id);
-  sync_row(owner);
+  members_.emplace(id, Member{alloc_row(), {}});
+  write_row(id, joiner_lower ? lower : upper);
+  write_row(owner, joiner_lower ? upper : lower);
 
   refresh_against(owner, candidates);
   candidates.push_back(id);  // not used against itself; harmless
   refresh_against(id, candidates);
 
   // Records of the splitter that now fall in the joiner's half move over.
-  if (listener_.on_rehome) listener_.on_rehome(owner, id);
-  notify_topology(owner);
-  notify_topology(id);
-  for (const NodeId n : member(id).neighbors) notify_topology(n);
+  if (on_rehome_) on_rehome_(owner, id);
   return p;
 }
 
@@ -154,6 +153,14 @@ void CanSpace::leave(NodeId id) {
   }
 
   const PartitionTree::Repair repair = tree_->leave(id);
+  // The repaired zones, from the rows before any is freed or written: the
+  // survivor absorbs its former sibling leaf (merging two siblings
+  // restores their parent's zone exactly), and a reassigned node takes
+  // the departed zone unchanged.
+  const std::optional<Zone> merged =
+      zone_of(repair.merge_survivor).merged_with(zone_of(repair.merged_from));
+  SOC_CHECK(merged.has_value());
+  const Zone departed = zone_of(id);
 
   // Collect every node whose zone or neighborhood may change, with their
   // pre-repair neighbor sets as candidate pools.
@@ -161,11 +168,11 @@ void CanSpace::leave(NodeId id) {
   affected.push_back(repair.merge_survivor);
   if (repair.reassigned_to.valid()) affected.push_back(repair.reassigned_to);
 
-  std::vector<NodeId> candidates = member(id).neighbors;
+  std::vector<NodeId> candidates;
+  for (const NeighborLink& l : member(id).links) candidates.push_back(l.id);
   for (const NodeId a : affected) {
     if (!members_.contains(a)) continue;
-    const auto& ns = member(a).neighbors;
-    candidates.insert(candidates.end(), ns.begin(), ns.end());
+    for (const NeighborLink& l : member(a).links) candidates.push_back(l.id);
   }
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
@@ -175,7 +182,7 @@ void CanSpace::leave(NodeId id) {
   // the reassigned node when there is one, else the merge survivor.
   const NodeId heir = repair.reassigned_to.valid() ? repair.reassigned_to
                                                    : repair.merge_survivor;
-  if (listener_.on_rehome) listener_.on_rehome(id, heir);
+  if (on_rehome_) on_rehome_(id, heir);
 
   drop_from_all_neighbors(id);
   free_row(member(id).row);
@@ -183,7 +190,8 @@ void CanSpace::leave(NodeId id) {
 
   // Apply new zones, then refresh adjacency for all affected nodes against
   // the combined candidate pool.
-  for (const NodeId a : affected) sync_row(a);
+  write_row(repair.merge_survivor, *merged);
+  if (repair.reassigned_to.valid()) write_row(repair.reassigned_to, departed);
   // The candidate pool (old neighborhoods of the departed node and of every
   // affected node) covers all adjacency pairs that can appear or disappear:
   // zone growth never loses neighbors, and the relocated node's new
@@ -193,13 +201,8 @@ void CanSpace::leave(NodeId id) {
   }
   // When y (reassigned_to) vacated its old zone to z, records y held move
   // to z as part of the same repair.
-  if (repair.reassigned_to.valid() && listener_.on_rehome) {
-    listener_.on_rehome(repair.reassigned_to, repair.merge_survivor);
-  }
-
-  for (const NodeId a : affected) notify_topology(a);
-  for (const NodeId c : candidates) {
-    if (members_.contains(c)) notify_topology(c);
+  if (repair.reassigned_to.valid() && on_rehome_) {
+    on_rehome_(repair.reassigned_to, repair.merge_survivor);
   }
 
   // Safe point: every Member& taken during the repair is dead and all
@@ -218,10 +221,6 @@ ZoneRow CanSpace::row_of(NodeId id) const {
 NodeId CanSpace::owner_of(const Point& p) const {
   SOC_CHECK(tree_.has_value());
   return tree_->owner_of(p);
-}
-
-const std::vector<NodeId>& CanSpace::neighbors_of(NodeId id) const {
-  return member(id).neighbors;
 }
 
 const std::vector<CanSpace::NeighborLink>& CanSpace::neighbor_links(
@@ -319,8 +318,8 @@ double CanSpace::total_volume() const {
 }
 
 bool CanSpace::verify_adjacency_cache() const {
-  // Every member owns exactly one row, holding its partition-tree zone;
-  // every other row is on the free list and poisoned.
+  // Every member owns exactly one row, whose center descends to its own
+  // partition-tree leaf; every other row is on the free list and poisoned.
   const std::size_t stride = ZoneRow::stride(dims_);
   if (rows_.size() % stride != 0) return false;
   std::vector<bool> claimed(rows_.size() / stride, false);
@@ -332,13 +331,12 @@ bool CanSpace::verify_adjacency_cache() const {
   for (const auto& [id, m] : members_) {
     if (!claim(m.row) || !tree_->contains_owner(id)) return false;
     const ZoneRow r = zone_row(m);
-    const Zone& z = tree_->zone_of(id);
+    Point center(dims_);
     for (std::size_t i = 0; i < dims_; ++i) {
-      if (r.lo(i) != z.lo(i) || r.hi(i) != z.hi(i) ||
-          r.center(i) != 0.5 * (z.lo(i) + z.hi(i))) {
-        return false;
-      }
+      if (r.center(i) != 0.5 * (r.lo(i) + r.hi(i))) return false;
+      center[i] = r.center(i);
     }
+    if (tree_->owner_of(center) != id) return false;
   }
   for (const std::uint32_t row : free_rows_) {
     if (!claim(row) || !std::isnan(rows_[row * stride])) return false;
@@ -348,11 +346,10 @@ bool CanSpace::verify_adjacency_cache() const {
   }
 
   for (const auto& [id, m] : members_) {
-    if (m.links.size() != m.neighbors.size()) return false;
     const Zone zone = zone_row(m).zone();
     for (std::size_t i = 0; i < m.links.size(); ++i) {
       const NeighborLink& l = m.links[i];
-      if (l.id != m.neighbors[i]) return false;
+      if (i > 0 && !(m.links[i - 1].id < l.id)) return false;
       const Member* other = members_.find(l.id);
       if (other == nullptr) return false;
       const Zone other_zone = zone_row(*other).zone();
@@ -366,7 +363,8 @@ bool CanSpace::verify_adjacency_cache() const {
 
 bool CanSpace::verify_invariants() const {
   if (members_.empty()) return true;
-  if (!tree_->tiles_unit_cube()) return false;
+  if (tree_->leaf_count() != members_.size()) return false;
+  if (std::abs(total_volume() - 1.0) >= 1e-9) return false;
   if (!verify_adjacency_cache()) return false;
   const auto ids = member_ids();
   std::vector<Zone> zones;
@@ -377,10 +375,10 @@ bool CanSpace::verify_invariants() const {
     for (std::size_t j = i + 1; j < ids.size(); ++j) {
       const Member& mj = member(ids[j]);
       const bool adjacent = zones[i].adjacency_dim(zones[j]).has_value();
-      const bool listed_ij = std::binary_search(mi.neighbors.begin(),
-                                                mi.neighbors.end(), ids[j]);
-      const bool listed_ji = std::binary_search(mj.neighbors.begin(),
-                                                mj.neighbors.end(), ids[i]);
+      const auto ij = lower_link(mi.links, ids[j]);
+      const auto ji = lower_link(mj.links, ids[i]);
+      const bool listed_ij = ij != mi.links.end() && ij->id == ids[j];
+      const bool listed_ji = ji != mj.links.end() && ji->id == ids[i];
       if (adjacent != listed_ij || adjacent != listed_ji) return false;
       if (zones[i].overlaps(zones[j])) return false;
     }

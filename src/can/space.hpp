@@ -9,18 +9,20 @@
 // tests checks symmetry and completeness after arbitrary churn.
 //
 // Storage is dense: members live in a DenseNodeMap indexed by NodeId (no
-// hashing on the per-hop path), and every neighbor entry caches its
+// hashing on the per-hop path), and every neighbor link caches its
 // adjacency metadata — the abutting dimension and side — maintained
-// incrementally alongside the neighbor lists.  Greedy routing uses the
+// incrementally alongside the link itself.  Greedy routing uses the
 // cached side to prune candidates with a one-multiply lower bound before
 // paying for the full box/center distance, and directional filtering is a
 // flag test per neighbor instead of a d-dimensional zone comparison.
 //
 // Zones live apart from the member records: one packed row per member
 // (lo, hi and center at dims() stride; see zone_row.hpp) in a single
-// contiguous array, which is what routing ranks candidates from.  A row is
-// written only from the partition tree's zone; rows of departed members
-// are poisoned and recycled.  verify_adjacency_cache() checks both.
+// contiguous array, which is what routing ranks candidates from.  The rows
+// are the only copy of a zone — the partition tree keeps the split
+// topology alone — so join and leave write the split and merged zones
+// straight into them; rows of departed members are poisoned and
+// recycled.  verify_adjacency_cache() checks both.
 #pragma once
 
 #include <algorithm>
@@ -44,23 +46,18 @@ enum class Direction : std::uint8_t { kNegative, kPositive };
 
 class CanSpace {
  public:
-  /// Cached adjacency metadata for one neighbor: the unique dimension the
-  /// two zones abut along, and which side the neighbor sits on.  Kept in
-  /// lock-step with the sorted neighbor id list.
+  /// One neighbor with its cached adjacency metadata: the unique dimension
+  /// the two zones abut along, and which side the neighbor sits on.
   struct NeighborLink {
     NodeId id;
     std::uint8_t dim = 0;   ///< abutting dimension
     bool positive = false;  ///< neighbor starts where our zone ends
   };
 
-  /// Callbacks the record/index layers hook to stay consistent with zone
-  /// ownership changes.
-  struct Listener {
-    /// All records of `from` that now fall inside `to`'s zone must move.
-    std::function<void(NodeId from, NodeId to)> on_rehome;
-    /// The node's zone or neighbor set changed (indices may be stale).
-    std::function<void(NodeId)> on_topology_changed;
-  };
+  /// The hook the record layers install to stay consistent with zone
+  /// ownership changes: all records of `from` that now fall inside `to`'s
+  /// zone must move.
+  using RehomeListener = std::function<void(NodeId from, NodeId to)>;
 
   CanSpace(std::size_t dims, Rng rng);
 
@@ -76,7 +73,9 @@ class CanSpace {
     return members_.contains(id);
   }
 
-  void set_listener(Listener listener) { listener_ = std::move(listener); }
+  void set_rehome_listener(RehomeListener listener) {
+    on_rehome_ = std::move(listener);
+  }
 
   /// First node bootstraps the space; later joins split the zone owning a
   /// random point (or the provided hint).  Returns the join point used.
@@ -96,11 +95,8 @@ class CanSpace {
 
   [[nodiscard]] NodeId owner_of(const Point& p) const;
 
-  /// Adjacent neighbors (paper definition), sorted by id.
-  [[nodiscard]] const std::vector<NodeId>& neighbors_of(NodeId id) const;
-
-  /// Neighbors with their cached adjacency metadata, same order as
-  /// neighbors_of.
+  /// Adjacent neighbors (paper definition) with their cached adjacency
+  /// metadata, sorted by id.
   [[nodiscard]] const std::vector<NeighborLink>& neighbor_links(
       NodeId id) const;
 
@@ -141,48 +137,45 @@ class CanSpace {
   /// A uniformly random member (for bootstrap contacts).
   [[nodiscard]] NodeId random_member(Rng& rng) const;
 
-  /// Sum of all member zone volumes.  With tiles_unit_cube() this is ≈ 1
-  /// by construction; the fuzz harness checks it as a cheap O(n)
-  /// tessellation tripwire in addition to the full O(n²) verifier.
+  /// Sum of all member zone volumes: ≈ 1 when the zones tile the unit
+  /// cube.  The fuzz harness checks it as a cheap O(n) tessellation
+  /// tripwire in addition to the full O(n²) verifier.
   [[nodiscard]] double total_volume() const;
 
-  /// Test oracle: zones tile the cube, neighbor sets are exactly the
-  /// adjacency relation and symmetric, and the cached per-neighbor
-  /// adjacency metadata and packed rows match a from-scratch recomputation.
+  /// Test oracle: one tree leaf per member, zone volumes summing to 1 with
+  /// no two zones overlapping (so they tile the cube), neighbor sets that
+  /// are exactly the adjacency relation and symmetric, and cached
+  /// per-neighbor adjacency metadata and packed rows that match a
+  /// from-scratch recomputation.
   [[nodiscard]] bool verify_invariants() const;
 
   /// The cache checks alone (cheaper; used by the churn stress test): the
-  /// neighbor metadata matches the zones, every member's packed row is its
-  /// partition-tree zone with center 0.5 * (lo + hi), and every other row
+  /// links are sorted by id and their metadata matches the zones, every
+  /// member's packed row has center 0.5 * (lo + hi) and that center
+  /// descends to the member's own partition-tree leaf, and every other row
   /// is free and poisoned, so no departed id holds a live row.
   [[nodiscard]] bool verify_adjacency_cache() const;
 
   /// Bytes claimed by overlay membership state: the dense member map, the
-  /// packed zone rows, every member's neighbor/link arrays, and the
-  /// partition tree (attribution-profiler hook; O(members), report-time
-  /// only).
+  /// packed zone rows, every member's link array, and the partition tree
+  /// (attribution-profiler hook; O(members), report-time only).
   [[nodiscard]] std::size_t mem_bytes() const {
     std::size_t b = members_.mem_bytes() + rows_.capacity() * sizeof(double) +
                     free_rows_.capacity() * sizeof(std::uint32_t);
     for (const auto& [id, m] : members_) {
       (void)id;
-      b += m.neighbors.capacity() * sizeof(NodeId) +
-           m.links.capacity() * sizeof(NeighborLink);
+      b += m.links.capacity() * sizeof(NeighborLink);
     }
     if (tree_.has_value()) b += tree_->mem_bytes();
     return b;
   }
 
  private:
-  /// `neighbors` and `links` are parallel arrays (links[i].id ==
-  /// neighbors[i], both sorted by id): the duplicate id column buys the
-  /// several neighbors_of() callers a ready vector<NodeId> view with no
-  /// per-call materialization.  Only upsert_link/erase_link may mutate
-  /// them, and verify_adjacency_cache() checks the lock-step invariant.
+  /// Only upsert_link/erase_link mutate `links`, which keeps it sorted by
+  /// id.
   struct Member {
     std::uint32_t row = 0;            // index of the packed zone row
-    std::vector<NodeId> neighbors;    // sorted by id
-    std::vector<NeighborLink> links;  // parallel to `neighbors`
+    std::vector<NeighborLink> links;  // sorted by id
   };
 
   Member& member(NodeId id);
@@ -193,18 +186,15 @@ class CanSpace {
   }
   std::uint32_t alloc_row();
   void free_row(std::uint32_t row);
-  /// Copy `id`'s partition-tree zone into its packed row — the only way a
-  /// row is written, so rows cannot drift from the tree.
-  void sync_row(NodeId id);
+  void write_row(NodeId id, const Zone& zone);
 
   /// Recompute adjacency between `id` and every candidate, updating both
-  /// sides' sorted neighbor lists and cached metadata.
+  /// sides' sorted links and their cached metadata.
   void refresh_against(NodeId id, const std::vector<NodeId>& candidates);
   static void upsert_link(Member& m, NodeId id, std::uint8_t dim,
                           bool positive);
   static void erase_link(Member& m, NodeId id);
   void drop_from_all_neighbors(NodeId id);
-  void notify_topology(NodeId id);
 
   std::size_t dims_;
   Rng rng_;
@@ -212,7 +202,7 @@ class CanSpace {
   DenseNodeMap<Member> members_;
   std::vector<double> rows_;              // ZoneRow::stride(dims_) per row
   std::vector<std::uint32_t> free_rows_;  // recycled rows, poisoned (NaN)
-  Listener listener_;
+  RehomeListener on_rehome_;
 };
 
 }  // namespace soc::can

@@ -253,29 +253,4 @@ class DenseNodeMap {
   std::size_t size_ = 0;
 };
 
-/// Numbers the incarnations of each node's periodic processes, which a
-/// protocol system starts on join and again on every rejoin.  A process
-/// captures the number start() returned and retires once current() says
-/// its node left or started a newer incarnation: a series from before a
-/// partition shorter than one period would otherwise find its node present
-/// again and run beside the new one.
-class Incarnations {
- public:
-  std::uint32_t start(NodeId id) { return latest_[id] = ++started_; }
-  [[nodiscard]] bool current(NodeId id, std::uint32_t incarnation) const {
-    const std::uint32_t* latest = latest_.find(id);
-    return latest != nullptr && *latest == incarnation;
-  }
-  /// The node left.  Compacts, like the other per-node maps at teardown.
-  void end(NodeId id) {
-    latest_.erase(id);
-    latest_.maybe_compact();
-  }
-  [[nodiscard]] std::size_t mem_bytes() const { return latest_.mem_bytes(); }
-
- private:
-  DenseNodeMap<std::uint32_t> latest_;
-  std::uint32_t started_ = 0;
-};
-
 }  // namespace soc

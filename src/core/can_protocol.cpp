@@ -7,9 +7,9 @@
 namespace soc::core {
 
 template <class System>
-void CanAdapter<System>::bill_maintenance(NodeId id, std::size_t msgs) {
+void CanAdapter<System>::bill_maintenance(std::size_t msgs) {
   for (std::size_t i = 0; i < msgs; ++i) {
-    bus_.stats().on_synthetic_send(id, net::MsgType::kMaintenance, 64);
+    bus_.stats().on_synthetic_send(net::MsgType::kMaintenance);
   }
 }
 
@@ -19,7 +19,7 @@ void CanAdapter<System>::on_join(NodeId id) {
   system_.add_node(id);
   // The join request routes to the split node and the new neighbor set is
   // notified.
-  bill_maintenance(id, join_route_msgs_ + space_.neighbors_of(id).size());
+  bill_maintenance(join_route_msgs_ + space_.neighbor_links(id).size());
   // Fresh members publish immediately so they become discoverable before
   // the first periodic update.
   system_.publish_now(id);
@@ -27,10 +27,10 @@ void CanAdapter<System>::on_join(NodeId id) {
 
 template <class System>
 void CanAdapter<System>::leave_overlay(NodeId id) {
-  const std::size_t msgs = space_.neighbors_of(id).size();
+  const std::size_t msgs = space_.neighbor_links(id).size();
   system_.remove_node(id);
   space_.leave(id);
-  bill_maintenance(id, msgs);
+  bill_maintenance(msgs);
 }
 
 template <class System>
@@ -64,7 +64,7 @@ void CanAdapter<System>::on_rejoin(NodeId id) {
   space_.join(id);
   system_.restore_node(id, std::move(parked));
   // Rejoin pays the same overlay-maintenance bill as a join.
-  bill_maintenance(id, join_route_msgs_ + space_.neighbors_of(id).size());
+  bill_maintenance(join_route_msgs_ + space_.neighbor_links(id).size());
   system_.publish_now(id);
 }
 

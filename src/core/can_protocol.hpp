@@ -90,9 +90,9 @@ class CanAdapter : public CanProtocol {
   System system_;
 
  private:
-  /// Account `msgs` overlay-maintenance messages from `id` (sent-side
-  /// only: the join/leave protocol itself is not simulated).
-  void bill_maintenance(NodeId id, std::size_t msgs);
+  /// Account `msgs` overlay-maintenance messages (sent-side only: the
+  /// join/leave protocol itself is not simulated).
+  void bill_maintenance(std::size_t msgs);
   /// Shared overlay teardown behind on_leave and on_partition_out.
   void leave_overlay(NodeId id);
 

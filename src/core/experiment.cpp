@@ -243,7 +243,6 @@ NodeId Experiment::spawn_host() {
   sched.set_finish_callback([this, id](const psm::CompletionInfo& info) {
     on_host_finished_task(id, info);
   });
-  ++alive_count_;
   protocol_->on_join(id);
   return id;
 }
@@ -256,7 +255,8 @@ void Experiment::setup() {
   ResourceVector cap_sum(psm::kDims);
   for (std::size_t i = 0; i < config_.nodes; ++i) {
     const NodeId id = spawn_host();
-    cap_sum += hosts_.capacity(id);
+    // Every host at setup is alive and holds its scheduler.
+    cap_sum += hosts_.scheduler(id)->capacity();
     wan.add(topology_->wan_bandwidth_mbps(id));
     start_arrivals(id);
   }
@@ -293,9 +293,13 @@ void Experiment::scenario_depart(NodeId id) {
 
 bool Experiment::host_alive(NodeId id) const { return hosts_.alive(id); }
 
+NodeId Experiment::random_alive(Rng& rng) const {
+  return hosts_.kth_alive(rng.pick_index(hosts_.alive_count()));
+}
+
 std::vector<NodeId> Experiment::alive_ids() const {
   std::vector<NodeId> out;
-  out.reserve(alive_count_);
+  out.reserve(hosts_.alive_count());
   for (std::uint32_t i = 0; i < hosts_.size(); ++i) {
     if (hosts_.alive(NodeId(i))) out.push_back(NodeId(i));
   }
@@ -314,10 +318,11 @@ bool Experiment::scenario_partition(double fraction, std::size_t start_lan) {
     if (hosts_.alive(id)) by_lan[topology_->lan_of(id)].push_back(id);
   }
   // Keep at least 3 hosts connected; aim for fraction·alive cut off.
-  const std::size_t cap = alive_count_ > 3 ? alive_count_ - 3 : 0;
+  const std::size_t alive = hosts_.alive_count();
+  const std::size_t cap = alive > 3 ? alive - 3 : 0;
   const std::size_t target = std::min<std::size_t>(
       cap, static_cast<std::size_t>(
-               std::ceil(fraction * static_cast<double>(alive_count_))));
+               std::ceil(fraction * static_cast<double>(alive))));
 
   std::vector<std::size_t> cut;
   std::vector<NodeId> victims;
@@ -406,13 +411,9 @@ std::string Experiment::check_accounting() const {
              " still holds a scheduler";
     }
   }
-  if (alive != alive_count_) {
-    return "alive counter " + std::to_string(alive_count_) + " != " +
+  if (alive != hosts_.alive_count()) {
+    return "alive count " + std::to_string(hosts_.alive_count()) + " != " +
            std::to_string(alive) + " alive hosts";
-  }
-  if (hosts_.alive_count() != alive_count_) {
-    return "fenwick alive count " + std::to_string(hosts_.alive_count()) +
-           " != " + std::to_string(alive_count_);
   }
   for (const auto& kv : in_flight_) {
     if (!hosts_.known(kv.second.provider)) {
@@ -735,12 +736,8 @@ void Experiment::schedule_next_churn(double mean_gap_s) {
       std::max<SimTime>(seconds(rng_.exponential(mean_gap_s)), 1);
   if (sim_.now() + delay > config_.duration) return;
   sim_.schedule_after(delay, [this, mean_gap_s] {
-    // Departure of a random alive node.  kth_alive selects over ascending
-    // ids — by definition the same host the old sorted-candidate-list
-    // scan picked for the same draw, without the O(total hosts) walk.
-    if (alive_count_ > 2) {
-      on_host_departed(hosts_.kth_alive(rng_.pick_index(alive_count_)));
-    }
+    // Departure of a random alive node.
+    if (hosts_.alive_count() > 2) on_host_departed(random_alive(rng_));
     // ...and a simultaneous fresh join keeps the population stable.
     const NodeId joiner = spawn_host();
     start_arrivals(joiner);
@@ -751,7 +748,6 @@ void Experiment::schedule_next_churn(double mean_gap_s) {
 void Experiment::on_host_departed(NodeId victim) {
   drain_cold_reap();
   hosts_.mark_departed(victim);
-  --alive_count_;
   // A partitioned host that dies will never rejoin: drop it from the cut
   // set (on_leave below drops the protocol's parked state to match).
   const auto cut = std::lower_bound(partitioned_.begin(), partitioned_.end(),
@@ -825,7 +821,7 @@ void Experiment::restart_from_checkpoint(
   }
 
   const bool origin_alive = hosts_.alive(progress.spec.origin);
-  const std::uint32_t restarts = checkpoints_.note_restart(id, sim_.now());
+  const std::uint32_t restarts = checkpoints_.note_restart(id);
   if (!origin_alive || restarts > kMaxRestarts) {
     metrics_.on_failed(sim_.now());
     trace_failed(id, sim_.now());
@@ -860,7 +856,7 @@ void Experiment::start_checkpointing() {
       bus_->send(placement.provider, placement.spec.origin,
                  net::MsgType::kDispatch, kSnapshotBytes,
                  [this, task_id, r = *remaining] {
-                   checkpoints_.record(task_id, r, sim_.now());
+                   checkpoints_.record(task_id, r);
                  });
     }
     return true;
@@ -880,7 +876,7 @@ void Experiment::run() {
   }
 }
 
-std::size_t Experiment::alive_nodes() const { return alive_count_; }
+std::size_t Experiment::alive_nodes() const { return hosts_.alive_count(); }
 
 ExperimentResults Experiment::results() const {
   ExperimentResults r;

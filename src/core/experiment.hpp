@@ -241,12 +241,6 @@ class Experiment {
 
   [[nodiscard]] const ExperimentConfig& config() const { return config_; }
 
-  /// The experiment's metric registry: bus traffic, task counters, stale
-  /// debt, storage footprints — everything results() snapshots into
-  /// ExperimentResults::metrics.  Exposed so report tools can add their
-  /// own gauges (e.g. phase-boundary RSS).
-  [[nodiscard]] obs::Registry& registry() { return registry_; }
-
   /// Per-subsystem storage footprint at this instant: event queue (which
   /// also holds every in-flight message), host table, in-flight task map,
   /// plus the protocol's buckets (CAN space, index caches, gossip
@@ -265,6 +259,10 @@ class Experiment {
   /// Depart `id` (no-op when already gone); same path as churn departures.
   void scenario_depart(NodeId id);
   [[nodiscard]] bool host_alive(NodeId id) const;
+  /// A uniformly random alive host: the k-th in ascending id order for
+  /// k = rng.pick_index(alive_nodes()), found in O(log n).  Requires an
+  /// alive host.
+  [[nodiscard]] NodeId random_alive(Rng& rng) const;
   /// Alive host ids in ascending order.
   [[nodiscard]] std::vector<NodeId> alive_ids() const;
 
@@ -292,9 +290,10 @@ class Experiment {
   /// LAN group count of the underlying topology (partition epicenters).
   [[nodiscard]] std::size_t lan_count() const { return topology_->lan_count(); }
 
-  /// Internal-accounting oracle for the invariant checker: alive counter,
-  /// host-map occupancy and in-flight placements must agree.  Returns an
-  /// empty string when consistent, else a description of the violation.
+  /// Internal-accounting oracle for the invariant checker: the alive
+  /// count, host-map occupancy and in-flight placements must agree.
+  /// Returns an empty string when consistent, else a description of the
+  /// violation.
   [[nodiscard]] std::string check_accounting() const;
 
   /// The scenario engine, when the config enables one (else nullptr).
@@ -367,7 +366,6 @@ class Experiment {
   RunningStats dispatch_attempts_;
   ResourceVector avg_capacity_;
   double avg_wan_mbps_ = 1.0;
-  std::size_t alive_count_ = 0;
   void sample_stale_debt();
   /// Debt of live, reachable hosts right now (the results()/gauge reading).
   [[nodiscard]] StaleDebt current_stale_debt() const;

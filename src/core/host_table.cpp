@@ -8,7 +8,6 @@ psm::PsmScheduler& HostTable::add(NodeId id, const ResourceVector& capacity) {
   SOC_CHECK_MSG(id.valid() && id.value == alive_.size(),
                 "host ids must be sequential");
   alive_.push_back(1);
-  capacity_.push_back(capacity);
   next_seq_.push_back(0);
   cold_slot_.push_back(cold_.alloc(sim_, capacity));
   fen_append(true);

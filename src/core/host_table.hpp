@@ -1,12 +1,13 @@
 // HostTable: the SoA replacement for Experiment's per-host AoS struct.
 //
-// The fields the message path touches on every delivery — the alive flag
-// (bus liveness callback), capacity, and the per-host task sequence —
-// live in flat parallel vectors indexed directly by NodeId (host ids are
-// handed out sequentially by Topology::add_host and, unlike overlay
-// state, host entries are never erased: a departed host keeps its row
-// with alive=false, so id == row index for the whole run).  Cold state —
-// the PsmScheduler, ~200 bytes plus its running-task map — lives in an
+// The hot fields — the alive flag (the bus liveness callback reads it on
+// every delivery) and the per-host task sequence (read on every
+// submission) — live in flat parallel vectors indexed directly by NodeId
+// (host ids are handed out sequentially by Topology::add_host and, unlike
+// overlay state, host entries are never erased: a departed host keeps its
+// row with alive=false, so id == row index for the whole run).  Cold
+// state — the PsmScheduler, which holds the host's capacity, ~200 bytes
+// plus its running-task map — lives in an
 // address-stable slab (StableSlab: scheduler completion closures capture
 // `this`) referenced by a per-host slot index, replacing the per-node
 // unique_ptr chase.  A dead host whose scheduler has drained (no running
@@ -37,8 +38,8 @@ class HostTable {
   explicit HostTable(sim::Simulator& sim) : sim_(sim) {}
 
   /// Append the next host (ids must arrive sequentially: id == size()).
-  /// Constructs its scheduler and returns it so the caller can attach the
-  /// finish callback.
+  /// Constructs its scheduler, which holds the capacity, and returns it so
+  /// the caller can attach the finish callback.
   psm::PsmScheduler& add(NodeId id, const ResourceVector& capacity);
 
   /// Rows ever created (alive + departed).
@@ -50,11 +51,6 @@ class HostTable {
     return known(id) && alive_[id.value] != 0;
   }
   void mark_departed(NodeId id);
-
-  [[nodiscard]] const ResourceVector& capacity(NodeId id) const {
-    SOC_DCHECK(known(id));
-    return capacity_[id.value];
-  }
 
   /// Post-increment the host's task sequence number.
   [[nodiscard]] std::uint32_t bump_seq(NodeId id) {
@@ -91,7 +87,6 @@ class HostTable {
   /// dominant cold term.
   [[nodiscard]] std::size_t mem_bytes() const {
     return alive_.capacity() * sizeof(std::uint8_t) +
-           capacity_.capacity() * sizeof(ResourceVector) +
            next_seq_.capacity() * sizeof(std::uint32_t) +
            cold_slot_.capacity() * sizeof(std::uint32_t) +
            fen_.capacity() * sizeof(std::uint32_t) +
@@ -111,7 +106,6 @@ class HostTable {
   sim::Simulator& sim_;
 
   std::vector<std::uint8_t> alive_;         // hot: bus liveness per message
-  std::vector<ResourceVector> capacity_;    // hot: admission/selection
   std::vector<std::uint32_t> next_seq_;     // hot: per-submission
   std::vector<std::uint32_t> cold_slot_;    // id → slab slot (kNull: freed)
   ColdSlab cold_;                           // cold: schedulers, stable addrs

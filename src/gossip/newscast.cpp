@@ -24,10 +24,10 @@ NewscastSystem::NewscastSystem(sim::Simulator& sim, net::MessageBus& bus,
 }
 
 void NewscastSystem::add_node(NodeId id, const std::vector<NodeId>& bootstrap) {
-  SOC_CHECK(!views_.contains(id));
-  std::vector<ViewEntry>& view = views_[id];
+  SOC_CHECK(!nodes_.contains(id));
+  std::vector<ViewEntry>& view = nodes_[id].view;
   for (const NodeId b : bootstrap) {
-    if (b == id || !views_.contains(b)) continue;
+    if (b == id || !nodes_.contains(b)) continue;
     view.push_back(ViewEntry{b, ResourceVector(psm::kDims), sim_.now()});
     if (view.size() >= view_size_) break;
   }
@@ -35,11 +35,12 @@ void NewscastSystem::add_node(NodeId id, const std::vector<NodeId>& bootstrap) {
 }
 
 void NewscastSystem::start_periodic(NodeId id) {
-  const std::uint32_t inc = incarnations_.start(id);
+  const std::uint32_t inc = nodes_[id].incarnation = ++incarnations_;
   sim_.schedule_periodic(
       kGossipPeriod,
       [this, id, inc] {
-        if (!incarnations_.current(id, inc)) return false;
+        const Node* node = nodes_.find(id);
+        if (node == nullptr || node->incarnation != inc) return false;
         gossip_now(id);
         return true;
       },
@@ -49,31 +50,30 @@ void NewscastSystem::start_periodic(NodeId id) {
 }
 
 void NewscastSystem::remove_node(NodeId id) {
-  views_.erase(id);
-  views_.maybe_compact();  // teardown safe point: no view refs outstanding
-  incarnations_.end(id);
+  nodes_.erase(id);
+  nodes_.maybe_compact();  // teardown safe point: no view refs outstanding
 }
 
 std::vector<ViewEntry> NewscastSystem::park_node(NodeId id) {
-  auto* view = views_.find(id);
+  std::vector<ViewEntry>* view = find_view(id);
   SOC_CHECK(view != nullptr);
   return std::move(*view);
 }
 
 void NewscastSystem::restore_node(NodeId id, std::vector<ViewEntry> view) {
-  SOC_CHECK(!views_.contains(id));
-  views_[id] = std::move(view);
+  SOC_CHECK(!nodes_.contains(id));
+  nodes_[id].view = std::move(view);
   start_periodic(id);
 }
 
 const std::vector<ViewEntry>& NewscastSystem::view_of(NodeId id) const {
-  const auto* view = views_.find(id);
-  SOC_CHECK_MSG(view != nullptr, "unknown gossip node");
-  return *view;
+  const Node* node = nodes_.find(id);
+  SOC_CHECK_MSG(node != nullptr, "unknown gossip node");
+  return node->view;
 }
 
 std::vector<ViewEntry> NewscastSystem::snapshot_with_self(NodeId id) {
-  std::vector<ViewEntry> out = views_.at(id);
+  std::vector<ViewEntry> out = nodes_.at(id).view;
   if (provider_) {
     if (const auto avail = provider_(id); avail.has_value()) {
       out.push_back(ViewEntry{id, *avail, sim_.now()});
@@ -84,7 +84,7 @@ std::vector<ViewEntry> NewscastSystem::snapshot_with_self(NodeId id) {
 
 void NewscastSystem::merge_view(NodeId owner,
                                 const std::vector<ViewEntry>& incoming) {
-  auto* view_ptr = views_.find(owner);
+  std::vector<ViewEntry>* view_ptr = find_view(owner);
   if (view_ptr == nullptr) return;
   std::vector<ViewEntry>& view = *view_ptr;
   for (const ViewEntry& e : incoming) {
@@ -108,7 +108,7 @@ void NewscastSystem::merge_view(NodeId owner,
 }
 
 void NewscastSystem::gossip_now(NodeId id) {
-  const auto* view_ptr = views_.find(id);
+  const std::vector<ViewEntry>* view_ptr = find_view(id);
   if (view_ptr == nullptr || view_ptr->empty()) return;
   const std::vector<ViewEntry>& view = *view_ptr;
   const NodeId peer = view[rng_.pick_index(view.size())].id;
@@ -118,7 +118,7 @@ void NewscastSystem::gossip_now(NodeId id) {
   auto mine = snapshot_with_self(id);
   bus_.send(id, peer, net::MsgType::kGossip, kViewMsgBytes,
             [this, id, peer, mine = std::move(mine)] {
-              if (!views_.contains(peer)) return;
+              if (!nodes_.contains(peer)) return;
               auto theirs = snapshot_with_self(peer);
               merge_view(peer, mine);
               bus_.send(peer, id, net::MsgType::kGossip,
@@ -140,7 +140,7 @@ void NewscastSystem::query_hop(std::uint64_t qid, NodeId at,
                                std::size_t ttl) {
   query::PendingQueries::Query* q = queries_.find(qid);
   if (q == nullptr) return;
-  const auto* view = views_.find(at);
+  const std::vector<ViewEntry>* view = find_view(at);
   if (view == nullptr) return;  // hop churned out; timeout closes
 
   // Scan the local partial view for fresh qualified entries.

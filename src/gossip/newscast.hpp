@@ -43,17 +43,17 @@ class NewscastSystem {
   /// Join with a few bootstrap contacts seeding the view.
   void add_node(NodeId id, const std::vector<NodeId>& bootstrap);
   void remove_node(NodeId id);
-  [[nodiscard]] bool tracks(NodeId id) const { return views_.contains(id); }
-  /// Storage density of the view map (slot_span/size).
-  [[nodiscard]] double span_ratio() const { return views_.span_ratio(); }
+  [[nodiscard]] bool tracks(NodeId id) const { return nodes_.contains(id); }
+  /// Storage density of the node map (slot_span/size).
+  [[nodiscard]] double span_ratio() const { return nodes_.span_ratio(); }
 
-  /// Bytes claimed by the gossip views (the dense maps plus every view's
+  /// Bytes claimed by the gossip views (the dense map plus every view's
   /// entry array; attribution-profiler hook).
   [[nodiscard]] std::size_t mem_bytes() const {
-    std::size_t b = views_.mem_bytes() + incarnations_.mem_bytes();
-    for (const auto& [id, view] : views_) {
+    std::size_t b = nodes_.mem_bytes();
+    for (const auto& [id, node] : nodes_) {
       (void)id;
-      b += view.capacity() * sizeof(ViewEntry);
+      b += node.view.capacity() * sizeof(ViewEntry);
     }
     return b;
   }
@@ -78,6 +78,19 @@ class NewscastSystem {
   }
 
  private:
+  /// A member's state: its view, and the number start_periodic() gave its
+  /// exchange process, which retires once the node's record holds another
+  /// (the node left or rejoined).
+  struct Node {
+    std::vector<ViewEntry> view;
+    std::uint32_t incarnation = 0;
+  };
+
+  /// `id`'s view, or nullptr for an untracked node.
+  [[nodiscard]] std::vector<ViewEntry>* find_view(NodeId id) {
+    Node* node = nodes_.find(id);
+    return node == nullptr ? nullptr : &node->view;
+  }
   /// Merge incoming entries into a view: freshest per node, newest first,
   /// truncated to view_size.
   void merge_view(NodeId owner, const std::vector<ViewEntry>& incoming);
@@ -90,8 +103,8 @@ class NewscastSystem {
   std::size_t view_size_;
   Rng rng_;
   AvailabilityProvider provider_;
-  DenseNodeMap<std::vector<ViewEntry>> views_;  ///< dense by NodeId
-  Incarnations incarnations_;
+  DenseNodeMap<Node> nodes_;  ///< dense by NodeId
+  std::uint32_t incarnations_ = 0;  ///< numbers handed out so far
   query::PendingQueries queries_;
 };
 

@@ -24,15 +24,13 @@ IndexSystem::IndexSystem(sim::Simulator& sim, net::MessageBus& bus,
     : sim_(sim), bus_(bus), space_(space), config_(config), rng_(rng),
       router_(space, bus, Fingers{this}) {
   SOC_CHECK(config_.index_fanout_L >= 1);
-  can::CanSpace::Listener listener;
-  listener.on_rehome = [this](NodeId from, NodeId to) {
+  space_.set_rehome_listener([this](NodeId from, NodeId to) {
     if (!state_.contains(from)) return;
     const std::vector<Record> moved =
         extract_rehomed(cache(from), space_, from, to, sim_.now());
     RecordStore& dst = cache(to);
     for (const Record& r : moved) dst.put(r);
-  };
-  space_.set_listener(std::move(listener));
+  });
 }
 
 IndexSystem::NodeState& IndexSystem::state(NodeId id) {
@@ -41,7 +39,7 @@ IndexSystem::NodeState& IndexSystem::state(NodeId id) {
       id, NodeState{RecordStore{}, PiList(kPiCapacity, kPiTtl),
                     IndexTable(space_.dims(), kIndexSamplesPerLevel,
                                config_.index_entry_ttl),
-                    rng_.fork(id.value)});
+                    rng_.fork(id.value), std::nullopt, 0});
 }
 
 RecordStore& IndexSystem::cache(NodeId id) { return state(id).cache; }
@@ -61,19 +59,18 @@ void IndexSystem::add_node(NodeId id) {
 
 void IndexSystem::remove_node(NodeId id) {
   state_.erase(id);
-  last_location_.erase(id);
-  incarnations_.end(id);
   // Safe point: called from departure/partition teardown with no NodeState
   // references outstanding (the rehome listener re-looks-up per call).
   state_.maybe_compact();
-  last_location_.maybe_compact();
 }
 
 IndexSystem::ParkedNode IndexSystem::park_node(NodeId id) {
   SOC_CHECK(state_.contains(id));
+  NodeState& st = state(id);
+  st.last_location.reset();
   // Moved-from sub-objects are left empty, so the departure teardown that
   // follows re-homes nothing to the takeover node.
-  return std::move(state(id));
+  return std::move(st);
 }
 
 void IndexSystem::restore_node(NodeId id, ParkedNode parked) {
@@ -123,12 +120,6 @@ std::string IndexSystem::check_membership_consistency() const {
       return "member " + std::to_string(id.value) + " has no NodeState";
     }
   }
-  for (const auto& [id, loc] : last_location_) {
-    if (!state_.contains(id)) {
-      return "last-location filed for untracked node " +
-             std::to_string(id.value);
-    }
-  }
   return {};
 }
 
@@ -136,7 +127,7 @@ void IndexSystem::start_periodics(NodeId id) {
   // Every periodic body first checks the node is still a member in the
   // incarnation that started it, returning false to retire the process
   // after departure or a rejoin.
-  const std::uint32_t inc = incarnations_.start(id);
+  const std::uint32_t inc = state(id).incarnation = ++incarnations_;
   sim_.schedule_periodic(
       config_.state_update_period,
       [this, id, inc] {
@@ -196,15 +187,16 @@ void IndexSystem::publish_now(NodeId id) {
   // If the previous record was filed under a different duty node, send an
   // invalidation there — otherwise the overwrite below suffices.  (A real
   // provider caches its last duty node's identity, which the owner_of
-  // lookup stands in for.)
-  const can::Point* last = last_location_.find(id);
-  if (last != nullptr && space_.size() > 0 &&
+  // lookup stands in for.)  The swap comes first: a route that arrives
+  // synchronously can grow state_ and move this node's entry.
+  const std::optional<can::Point> last =
+      std::exchange(state(id).last_location, record->location);
+  if (last.has_value() && space_.size() > 0 &&
       space_.owner_of(*last) != space_.owner_of(record->location)) {
     ++activity_.invalidations;
     route(id, *last, net::MsgType::kStateUpdate, kIndexMsgBytes,
           [this, id](NodeId old_duty) { cache(old_duty).erase(id); });
   }
-  last_location_[id] = record->location;
   ++activity_.publishes;
 
   route(id, record->location, net::MsgType::kStateUpdate,

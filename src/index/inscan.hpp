@@ -75,7 +75,8 @@ class IndexSystem {
       std::function<std::optional<Record>(NodeId)>;
   using Config = InscanConfig;
 
-  /// Installs the CanSpace listener, so records re-home on zone changes.
+  /// Installs the CanSpace rehome listener, so records re-home on zone
+  /// changes.
   IndexSystem(sim::Simulator& sim, net::MessageBus& bus, can::CanSpace& space,
               InscanConfig config, Rng rng);
   IndexSystem(const IndexSystem&) = delete;
@@ -91,10 +92,8 @@ class IndexSystem {
   /// Drop protocol state (overlay departure).
   void remove_node(NodeId id);
   [[nodiscard]] bool tracks(NodeId id) const { return state_.contains(id); }
-  /// Storage density over the per-node maps (max slot_span/size).
-  [[nodiscard]] double span_ratio() const {
-    return std::max(state_.span_ratio(), last_location_.span_ratio());
-  }
+  /// Storage density of the per-node state map (slot_span/size).
+  [[nodiscard]] double span_ratio() const { return state_.span_ratio(); }
 
   /// A member's protocol state.  park_node() extracts it whole before a
   /// partition teardown and restore_node() takes it back at heal time; the
@@ -104,6 +103,14 @@ class IndexSystem {
     PiList pi;
     IndexTable table;
     Rng rng;
+    /// Where the node's previous record was filed, so a republish can
+    /// invalidate the stale copy when the availability point moved zones.
+    std::optional<can::Point> last_location;
+    /// The number start_periodics() gave the node's periodic processes: a
+    /// process retires once the node's state holds another (the node left
+    /// or rejoined), so a series from before a partition shorter than one
+    /// period cannot run beside the new one.
+    std::uint32_t incarnation = 0;
 
     [[nodiscard]] std::size_t mem_bytes() const {
       return cache.mem_bytes() + pi.mem_bytes() + table.mem_bytes();
@@ -115,7 +122,8 @@ class IndexSystem {
   /// caller runs the normal departure path next (remove_node + space
   /// leave); because the state moves out *first*, the takeover node
   /// re-homes an empty cache — records behind the cut are unreachable from
-  /// the majority until the heal.
+  /// the majority until the heal.  The last location is dropped: the
+  /// rejoined node publishes as if for the first time.
   [[nodiscard]] ParkedNode park_node(NodeId id);
 
   /// Re-enter `id` (already re-joined to the CanSpace) with its parked
@@ -157,11 +165,10 @@ class IndexSystem {
   [[nodiscard]] std::vector<NodeId> tracked_ids() const;
 
   /// Membership-consistency oracle (sim_fuzz): the set of nodes with
-  /// materialized NodeState must be exactly the CanSpace member set, and
-  /// every filed last-location must belong to a tracked node.  The PR-3
-  /// ghost-walk bug is precisely a violation here — a probe walk whose
-  /// origin departed re-materializing state for a non-member.  Returns an
-  /// empty string when consistent, else a description.
+  /// materialized NodeState must be exactly the CanSpace member set.  A
+  /// probe walk whose origin departed re-materializing state for a
+  /// non-member (the ghost-walk bug) is precisely a violation here.
+  /// Returns an empty string when consistent, else a description.
   [[nodiscard]] std::string check_membership_consistency() const;
 
   /// Protocol activity counters (diagnostics and tests).
@@ -175,12 +182,11 @@ class IndexSystem {
   [[nodiscard]] const Activity& activity() const { return activity_; }
 
   /// Bytes claimed by the per-node index state: record caches, PILists,
-  /// index tables, the dense maps themselves and the last-location map
-  /// (attribution-profiler hook; O(members), report-time only).
+  /// index tables and the dense map itself (attribution-profiler hook;
+  /// O(members), report-time only).
   [[nodiscard]] std::size_t mem_bytes() const {
-    std::size_t b = state_.mem_bytes() + last_location_.mem_bytes() +
-                    incarnations_.mem_bytes() +
-                    dir_scratch_.capacity() * sizeof(NodeId);
+    std::size_t b =
+        state_.mem_bytes() + dir_scratch_.capacity() * sizeof(NodeId);
     for (const auto& [id, st] : state_) {
       (void)id;
       b += st.mem_bytes();
@@ -233,7 +239,8 @@ class IndexSystem {
   void start_periodics(NodeId id);
   /// Whether `id` is still a member in incarnation `inc`.
   [[nodiscard]] bool current(NodeId id, std::uint32_t inc) const {
-    return incarnations_.current(id, inc) && space_.contains(id);
+    const NodeState* st = state_.find(id);
+    return st != nullptr && st->incarnation == inc && space_.contains(id);
   }
   void handle_diffuse(NodeId at, NodeId subject, std::size_t dim,
                       std::size_t ttl);
@@ -249,10 +256,7 @@ class IndexSystem {
   Rng rng_;
   AvailabilityProvider provider_;
   DenseNodeMap<NodeState> state_;
-  /// Where each provider's previous record was filed, so a republish can
-  /// invalidate the stale copy when the availability point moved zones.
-  DenseNodeMap<can::Point> last_location_;
-  Incarnations incarnations_;
+  std::uint32_t incarnations_ = 0;  ///< numbers handed out so far
   /// Scratch for allocation-free directional-neighbor filtering (the
   /// simulation is single-threaded; every user copies its pick out before
   /// the next refill).

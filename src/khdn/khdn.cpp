@@ -6,31 +6,31 @@ KhdnSystem::KhdnSystem(sim::Simulator& sim, net::MessageBus& bus,
                        can::CanSpace& space, std::size_t k_hops, Rng rng)
     : sim_(sim), bus_(bus), space_(space), k_hops_(k_hops), rng_(rng),
       queries_(sim, params::kQueryTimeout), router_(space, bus) {
-  can::CanSpace::Listener listener;
-  listener.on_rehome = [this](NodeId from, NodeId to) {
-    if (!caches_.contains(from)) return;
+  space_.set_rehome_listener([this](NodeId from, NodeId to) {
+    if (!nodes_.contains(from)) return;
     const std::vector<index::Record> moved =
         index::extract_rehomed(cache(from), space_, from, to, sim_.now());
     index::RecordStore& dst = cache(to);
     for (const auto& r : moved) dst.put(r);
-  };
-  space_.set_listener(std::move(listener));
+  });
 }
 
-index::RecordStore& KhdnSystem::cache(NodeId id) { return caches_[id]; }
+index::RecordStore& KhdnSystem::cache(NodeId id) { return nodes_[id].cache; }
 
 void KhdnSystem::add_node(NodeId id) {
   SOC_CHECK(space_.contains(id));
-  caches_[id];  // materialize
+  nodes_[id];  // materialize
   start_periodic(id);
 }
 
 void KhdnSystem::start_periodic(NodeId id) {
-  const std::uint32_t inc = incarnations_.start(id);
+  const std::uint32_t inc = nodes_[id].incarnation = ++incarnations_;
   sim_.schedule_periodic(
       params::kStateUpdatePeriod,
       [this, id, inc] {
-        if (!incarnations_.current(id, inc) || !space_.contains(id)) {
+        const Node* node = nodes_.find(id);
+        if (node == nullptr || node->incarnation != inc ||
+            !space_.contains(id)) {
           return false;
         }
         publish_now(id);
@@ -42,16 +42,15 @@ void KhdnSystem::start_periodic(NodeId id) {
 }
 
 void KhdnSystem::remove_node(NodeId id) {
-  caches_.erase(id);
-  caches_.maybe_compact();  // teardown safe point: no cache refs outstanding
-  incarnations_.end(id);
+  nodes_.erase(id);
+  nodes_.maybe_compact();  // teardown safe point: no cache refs outstanding
 }
 
 index::RecordStore KhdnSystem::park_node(NodeId id) {
-  SOC_CHECK(caches_.contains(id));
+  SOC_CHECK(nodes_.contains(id));
   // The moved-from cache stays in place (empty) until the departure
   // teardown erases it, so nothing re-homes to the takeover node.
-  return std::move(caches_.at(id));
+  return std::move(nodes_.at(id).cache);
 }
 
 void KhdnSystem::restore_node(NodeId id, index::RecordStore parked) {
@@ -60,17 +59,17 @@ void KhdnSystem::restore_node(NodeId id, index::RecordStore parked) {
   // rehome listener materialized a fresh cache to receive the split zone's
   // records; the node resumes on its parked cache instead.
   index::RecordStore split;
-  if (index::RecordStore* fresh = caches_.find(id)) {
-    split = std::move(*fresh);
-    caches_.erase(id);
+  if (Node* fresh = nodes_.find(id)) {
+    split = std::move(fresh->cache);
+    nodes_.erase(id);
   }
   index::reconcile_parked(
-      caches_.emplace(id, std::move(parked)), std::move(split),
+      nodes_.emplace(id, Node{std::move(parked)}).cache, std::move(split),
       space_.zone_of(id), sim_.now(), [this, id](const index::Record& r) {
         router_.route(id, r.location, net::MsgType::kStateUpdate,
                       params::kStateMsgBytes, params::kRouteTtl,
                       [this, r](NodeId duty) {
-                        if (!caches_.contains(duty)) return;
+                        if (!nodes_.contains(duty)) return;
                         cache(duty).put(r);
                       });
       });
@@ -79,19 +78,19 @@ void KhdnSystem::restore_node(NodeId id, index::RecordStore parked) {
 
 std::vector<NodeId> KhdnSystem::tracked_ids() const {
   std::vector<NodeId> out;
-  out.reserve(caches_.size());
-  for (const auto& [id, store] : caches_) out.push_back(id);
+  out.reserve(nodes_.size());
+  for (const auto& [id, node] : nodes_) out.push_back(id);
   return out;
 }
 
 std::string KhdnSystem::check_membership_consistency() const {
-  for (const auto& [id, store] : caches_) {
+  for (const auto& [id, node] : nodes_) {
     if (!space_.contains(id)) {
       return "duty cache for non-member " + std::to_string(id.value);
     }
   }
   for (const NodeId id : space_.member_ids()) {
-    if (!caches_.contains(id)) {
+    if (!nodes_.contains(id)) {
       return "member " + std::to_string(id.value) + " has no duty cache";
     }
   }
@@ -108,7 +107,7 @@ void KhdnSystem::publish_now(NodeId id) {
   router_.route(id, record->location, net::MsgType::kStateUpdate,
                 params::kStateMsgBytes, params::kRouteTtl,
                 [this, r = *record](NodeId duty) {
-                  if (!caches_.contains(duty)) return;
+                  if (!nodes_.contains(duty)) return;
                   cache(duty).put(r);
                   spread(duty, r, k_hops_);
                 });
@@ -126,7 +125,7 @@ void KhdnSystem::spread(NodeId at, const index::Record& record,
     const NodeId target = dir_scratch_[rng_.pick_index(dir_scratch_.size())];
     bus_.send(at, target, net::MsgType::kKhdnSpread, params::kStateMsgBytes,
               [this, target, record, hops_left] {
-                if (!caches_.contains(target)) return;
+                if (!nodes_.contains(target)) return;
                 cache(target).put(record);
                 spread(target, record, hops_left - 1);
               });
@@ -156,7 +155,7 @@ void KhdnSystem::scan_visit(std::uint64_t qid, NodeId at,
   SOC_CHECK(q->outstanding > 0);
   --q->outstanding;
 
-  if (caches_.contains(at)) {
+  if (nodes_.contains(at)) {
     // Harvest local qualified records (reused scratch, ascending provider
     // order); one notice message back covers the traffic of returning them.
     std::vector<index::Record>& qualified = record_scratch_;

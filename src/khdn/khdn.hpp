@@ -36,7 +36,8 @@ class KhdnSystem {
   /// A partitioned-out member's state: its duty cache.
   using ParkedNode = index::RecordStore;
 
-  /// Installs the CanSpace listener, so records re-home on zone changes.
+  /// Installs the CanSpace rehome listener, so records re-home on zone
+  /// changes.
   KhdnSystem(sim::Simulator& sim, net::MessageBus& bus, can::CanSpace& space,
              std::size_t k_hops, Rng rng);
   KhdnSystem(const KhdnSystem&) = delete;
@@ -48,17 +49,17 @@ class KhdnSystem {
 
   void add_node(NodeId id);
   void remove_node(NodeId id);
-  [[nodiscard]] bool tracks(NodeId id) const { return caches_.contains(id); }
-  /// Storage density of the duty-cache map (slot_span/size).
-  [[nodiscard]] double span_ratio() const { return caches_.span_ratio(); }
+  [[nodiscard]] bool tracks(NodeId id) const { return nodes_.contains(id); }
+  /// Storage density of the node map (slot_span/size).
+  [[nodiscard]] double span_ratio() const { return nodes_.span_ratio(); }
 
-  /// Bytes claimed by the duty caches (the dense maps plus every
+  /// Bytes claimed by the duty caches (the dense map plus every
   /// RecordStore's arrays; attribution-profiler hook).
   [[nodiscard]] std::size_t mem_bytes() const {
-    std::size_t b = caches_.mem_bytes() + incarnations_.mem_bytes();
-    for (const auto& [id, cache] : caches_) {
+    std::size_t b = nodes_.mem_bytes();
+    for (const auto& [id, node] : nodes_) {
       (void)id;
-      b += cache.mem_bytes();
+      b += node.cache.mem_bytes();
     }
     return b;
   }
@@ -93,6 +94,14 @@ class KhdnSystem {
              const can::Point& target, std::size_t want, Callback cb);
 
  private:
+  /// A member's state: its duty cache, and the number start_periodic()
+  /// gave its publisher, which retires once the node's record holds
+  /// another (the node left or rejoined).
+  struct Node {
+    index::RecordStore cache;
+    std::uint32_t incarnation = 0;
+  };
+
   void start_periodic(NodeId id);
   void spread(NodeId at, const index::Record& record, std::size_t hops_left);
   void scan_visit(std::uint64_t qid, NodeId at, std::size_t hops_left);
@@ -103,8 +112,8 @@ class KhdnSystem {
   std::size_t k_hops_;
   Rng rng_;
   AvailabilityProvider provider_;
-  DenseNodeMap<index::RecordStore> caches_;  ///< dense by NodeId
-  Incarnations incarnations_;
+  DenseNodeMap<Node> nodes_;  ///< dense by NodeId
+  std::uint32_t incarnations_ = 0;  ///< numbers handed out so far
   /// Scratch for allocation-free directional-neighbor filtering.
   std::vector<NodeId> dir_scratch_;
   /// Scratch for allocation-free qualified-record harvests.

@@ -36,17 +36,14 @@ std::string_view msg_type_name(MsgType t) {
   return "?";
 }
 
-void TrafficStats::on_send(NodeId /*from*/, MsgType type, std::size_t bytes) {
+void TrafficStats::on_send(MsgType type) {
   ++by_type_[static_cast<std::size_t>(type)];
   ++in_flight_[static_cast<std::size_t>(type)];
-  bytes_ += bytes;
 }
 
-void TrafficStats::on_synthetic_send(NodeId /*from*/, MsgType type,
-                                     std::size_t bytes) {
+void TrafficStats::on_synthetic_send(MsgType type) {
   ++by_type_[static_cast<std::size_t>(type)];
   ++synthetic_[static_cast<std::size_t>(type)];
-  bytes_ += bytes;
 }
 
 void TrafficStats::on_delivered(MsgType type) {
@@ -126,7 +123,6 @@ void TrafficStats::reset() {
   partitioned_.fill(0);
   in_flight_.fill(0);
   synthetic_.fill(0);
-  bytes_ = 0;
 }
 
 MessageBus::MessageBus(sim::Simulator& sim, const Topology& topo)
@@ -158,7 +154,7 @@ bool MessageBus::in_partition_cut(NodeId id) const {
 void MessageBus::send(NodeId from, NodeId to, MsgType type, std::size_t bytes,
                       DeliverFn on_deliver) {
   SOC_CHECK(from.valid() && to.valid());
-  stats_.on_send(from, type, bytes);
+  stats_.on_send(type);
   if (from == to) {
     // Loopback: negligible but strictly positive delay for causality; never
     // touches the network, so partitions and link faults do not apply.
@@ -201,7 +197,7 @@ void MessageBus::send(NodeId from, NodeId to, MsgType type, std::size_t bytes,
   // Duplication: the copy is real traffic, billed as a second send so the
   // conservation law stays exact.  The callback is shared (InlineFn is
   // move-only but repeatedly invocable); each arrival invokes it once.
-  stats_.on_send(from, type, bytes);
+  stats_.on_send(type);
   auto shared = std::make_shared<DeliverFn>(std::move(on_deliver));
   schedule_delivery(delay, to, type, fate, DeliverFn([shared] {
                       if (*shared) (*shared)();

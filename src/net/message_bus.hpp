@@ -46,7 +46,7 @@ enum class MsgType : std::uint8_t {
 /// partition damage is distinguishable from churn/burst loss).
 class TrafficStats {
  public:
-  void on_send(NodeId from, MsgType type, std::size_t bytes);
+  void on_send(MsgType type);
   void on_delivered(MsgType type);
   void on_lost(MsgType type);
   /// A cross-partition message reached its would-be arrival time: resolved
@@ -57,7 +57,7 @@ class TrafficStats {
   /// toward sent()/per_node_cost like a real send, but is tracked
   /// separately so the conservation law stays exact:
   ///   sent == delivered + lost + partitioned + in_flight + synthetic.
-  void on_synthetic_send(NodeId from, MsgType type, std::size_t bytes);
+  void on_synthetic_send(MsgType type);
 
   [[nodiscard]] std::uint64_t sent(MsgType type) const;
   [[nodiscard]] std::uint64_t delivered(MsgType type) const;
@@ -67,7 +67,6 @@ class TrafficStats {
   [[nodiscard]] std::uint64_t total_delivered() const;
   [[nodiscard]] std::uint64_t total_lost() const;
   [[nodiscard]] std::uint64_t total_partitioned() const;
-  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_; }
 
   /// Messages sent but not yet resolved.  Together with the above this
   /// pins the per-type conservation law the sim_fuzz harness asserts at
@@ -93,7 +92,6 @@ class TrafficStats {
   std::array<std::uint64_t, kTypes> partitioned_{};
   std::array<std::uint64_t, kTypes> in_flight_{};
   std::array<std::uint64_t, kTypes> synthetic_{};
-  std::uint64_t bytes_ = 0;
 };
 
 /// Point-to-point delivery with topology-derived delay.  Liveness is
@@ -125,9 +123,6 @@ class MessageBus {
   /// simulator root — only here, so a bus without faults draws the exact
   /// same streams as before this layer existed.
   void enable_link_faults(const LinkFaultConfig& config);
-  [[nodiscard]] const LinkModel* link_model() const {
-    return link_model_.get();
-  }
 
   /// Partition the network: messages between a host inside the cut LAN
   /// set and one outside resolve as `partitioned` at their would-be

@@ -5,11 +5,8 @@
 namespace soc::psm {
 
 void CheckpointStore::record(TaskId id,
-                             const std::array<double, kRateDims>& remaining,
-                             SimTime now) {
-  auto& entry = entries_[id];
-  entry.remaining = remaining;
-  entry.taken_at = now;
+                             const std::array<double, kRateDims>& remaining) {
+  entries_[id].remaining = remaining;
 }
 
 std::optional<CheckpointStore::Checkpoint> CheckpointStore::lookup(
@@ -19,10 +16,8 @@ std::optional<CheckpointStore::Checkpoint> CheckpointStore::lookup(
   return it->second;
 }
 
-std::uint32_t CheckpointStore::note_restart(TaskId id, SimTime now) {
-  auto& entry = entries_[id];
-  if (entry.taken_at == 0 && entry.restarts == 0) entry.taken_at = now;
-  return ++entry.restarts;
+std::uint32_t CheckpointStore::note_restart(TaskId id) {
+  return ++entries_[id].restarts;
 }
 
 void CheckpointStore::erase(TaskId id) { entries_.erase(id); }

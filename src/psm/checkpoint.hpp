@@ -24,13 +24,11 @@ class CheckpointStore {
  public:
   struct Checkpoint {
     std::array<double, kRateDims> remaining{};
-    SimTime taken_at = 0;
     std::uint32_t restarts = 0;  ///< restart count carried across snapshots
   };
 
   /// Record (or refresh) a snapshot; preserves the restart count.
-  void record(TaskId id, const std::array<double, kRateDims>& remaining,
-              SimTime now);
+  void record(TaskId id, const std::array<double, kRateDims>& remaining);
 
   /// Latest checkpoint for a task, if any.
   [[nodiscard]] std::optional<Checkpoint> lookup(TaskId id) const;
@@ -38,7 +36,7 @@ class CheckpointStore {
   /// Bump the restart counter; creates the entry if missing (a task that
   /// dies before its first snapshot restarts from the full workload).
   /// Returns the new restart count.
-  std::uint32_t note_restart(TaskId id, SimTime now);
+  std::uint32_t note_restart(TaskId id);
 
   /// Drop the entry (task finished or permanently failed).
   void erase(TaskId id);

@@ -86,16 +86,6 @@ std::vector<PsmScheduler::Progress> PsmScheduler::abort_all_with_progress() {
   return out;
 }
 
-std::vector<TaskSpec> PsmScheduler::abort_all() {
-  std::vector<TaskSpec> out;
-  out.reserve(running_.size());
-  for (const auto& [_, r] : running_) out.push_back(r.spec);
-  running_.clear();
-  load_ = ResourceVector(kDims);
-  reschedule();
-  return out;
-}
-
 ResourceVector PsmScheduler::rates_for(const Running& r) const {
   // Eq. (1): r(t) = e(t)/l · c componentwise, with c the overhead-adjusted
   // capacity.  When the aggregate load on a dimension is zero the share is

@@ -79,9 +79,6 @@ class PsmScheduler {
   /// Returns the spec so the caller can resubmit/fail it, or nullopt.
   std::optional<TaskSpec> abort(TaskId id);
 
-  /// Abort everything (host departure).  Returns the aborted specs.
-  std::vector<TaskSpec> abort_all();
-
   /// Remaining workload of a running task, progress integrated up to now —
   /// the snapshot the checkpointing extension persists.  Nullopt when the
   /// task is not running here.

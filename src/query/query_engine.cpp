@@ -238,7 +238,8 @@ void QueryEngine::flood_visit(std::uint64_t qid, NodeId at,
     for (const auto& r : qualified) q->add(r.provider, r.availability);
     // Forward to every unvisited neighbor whose zone still intersects the
     // query range [corner, 1]^d.
-    for (const NodeId n : space.neighbors_of(at)) {
+    for (const can::CanSpace::NeighborLink& l : space.neighbor_links(at)) {
+      const NodeId n = l.id;
       if (q->reached.contains(n)) continue;
       if (!space.zone_of(n).intersects_upper_range(corner)) continue;
       q->reached.insert(n);

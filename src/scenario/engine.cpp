@@ -54,10 +54,7 @@ void ScenarioEngine::churn_tick() {
       std::max<SimTime>(seconds(rng_.exponential(1.0 / events_per_s)), 1);
   if (now + delay > horizon) return;
   sim.schedule_after(delay, [this] {
-    const std::vector<NodeId> alive = ex_.alive_ids();
-    if (alive.size() > 2) {
-      ex_.scenario_depart(alive[rng_.pick_index(alive.size())]);
-    }
+    if (ex_.alive_nodes() > 2) ex_.scenario_depart(ex_.random_alive(rng_));
     ex_.scenario_join();
     ++counters_.churn_events;
     churn_tick();

@@ -3,6 +3,7 @@
 // arbitrary join/leave interleavings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "src/can/partition_tree.hpp"
@@ -11,73 +12,111 @@
 namespace soc::can {
 namespace {
 
+// The tree keeps the split topology alone: a parent, two children, the
+// depth and the owner (32 bytes on x86-64).
+static_assert(sizeof(PartitionTree::TreeNode) <= 4 * sizeof(void*));
+
+// The CanSpace rows hold the zones the partition tree's splits imply, so
+// the tree cases below assert zones through a CanSpace driven through the
+// same splits and departures.  Joining at the center of `owner`'s zone
+// splits that zone, and the joiner takes the upper half along the split
+// dimension, as PartitionTree::split(owner, joiner, false) assigns it.
+void split_upper(CanSpace& space, NodeId owner, NodeId joiner) {
+  space.join(joiner, space.zone_of(owner).center());
+}
+
 TEST(PartitionTree, FirstOwnerHoldsUnitCube) {
   const PartitionTree t(2, NodeId(0));
   EXPECT_EQ(t.leaf_count(), 1u);
-  EXPECT_EQ(t.zone_of(NodeId(0)), Zone::unit(2));
   EXPECT_EQ(t.owner_of(Point{0.3, 0.9}), NodeId(0));
+  CanSpace space(2, Rng(1));
+  space.join(NodeId(0));
+  EXPECT_EQ(space.zone_of(NodeId(0)), Zone::unit(2));
 }
 
 TEST(PartitionTree, SplitAssignsHalfContainingJoinerPoint) {
   PartitionTree t(2, NodeId(0));
   // Depth 0 splits along dim 0; the joiner picks a point in the lower half.
-  t.split(NodeId(0), NodeId(1), Point{0.1, 0.5});
-  EXPECT_TRUE(t.zone_of(NodeId(1)).contains(Point{0.1, 0.5}));
-  EXPECT_FALSE(t.zone_of(NodeId(0)).contains(Point{0.1, 0.5}));
-  EXPECT_TRUE(t.tiles_unit_cube());
+  t.split(NodeId(0), NodeId(1), /*joiner_lower=*/true);
+  EXPECT_EQ(t.owner_of(Point{0.1, 0.5}), NodeId(1));
+  EXPECT_EQ(t.owner_of(Point{0.9, 0.5}), NodeId(0));
+  CanSpace space(2, Rng(1));
+  space.join(NodeId(0));
+  space.join(NodeId(1), Point{0.1, 0.5});
+  EXPECT_TRUE(space.zone_of(NodeId(1)).contains(Point{0.1, 0.5}));
+  EXPECT_FALSE(space.zone_of(NodeId(0)).contains(Point{0.1, 0.5}));
+  EXPECT_TRUE(space.verify_invariants());
 }
 
 TEST(PartitionTree, SplitDimensionCyclesWithDepth) {
   PartitionTree t(2, NodeId(0));
-  t.split(NodeId(0), NodeId(1));  // depth 0 → dim 0
-  const Zone z0 = t.zone_of(NodeId(0));
+  EXPECT_EQ(t.split_dim(NodeId(0)), 0u);
+  t.split(NodeId(0), NodeId(1), false);  // depth 0 → dim 0
+  EXPECT_EQ(t.split_dim(NodeId(0)), 1u);
+  CanSpace space(2, Rng(1));
+  space.join(NodeId(0));
+  split_upper(space, NodeId(0), NodeId(1));
+  const Zone z0 = space.zone_of(NodeId(0));
   EXPECT_DOUBLE_EQ(z0.side(0), 0.5);
   EXPECT_DOUBLE_EQ(z0.side(1), 1.0);
-  t.split(NodeId(0), NodeId(2));  // depth 1 → dim 1
-  EXPECT_DOUBLE_EQ(t.zone_of(NodeId(0)).side(1), 0.5);
+  split_upper(space, NodeId(0), NodeId(2));  // depth 1 → dim 1
+  EXPECT_DOUBLE_EQ(space.zone_of(NodeId(0)).side(1), 0.5);
 }
 
 TEST(PartitionTree, LeaveMergesSiblingLeaf) {
   PartitionTree t(2, NodeId(0));
-  t.split(NodeId(0), NodeId(1));
+  t.split(NodeId(0), NodeId(1), false);
   const auto repair = t.leave(NodeId(1));
   EXPECT_EQ(repair.merge_survivor, NodeId(0));
   EXPECT_FALSE(repair.reassigned_to.valid());
   EXPECT_EQ(t.leaf_count(), 1u);
-  EXPECT_EQ(t.zone_of(NodeId(0)), Zone::unit(2));
+  CanSpace space(2, Rng(1));
+  space.join(NodeId(0));
+  split_upper(space, NodeId(0), NodeId(1));
+  space.leave(NodeId(1));
+  EXPECT_EQ(space.zone_of(NodeId(0)), Zone::unit(2));
 }
 
 TEST(PartitionTree, LeaveWithInternalSiblingReassigns) {
   PartitionTree t(2, NodeId(0));
-  t.split(NodeId(0), NodeId(1));  // 0 and 1 split dim 0
-  t.split(NodeId(1), NodeId(2));  // 1's half splits dim 1
+  t.split(NodeId(0), NodeId(1), false);  // 0 and 1 split dim 0
+  t.split(NodeId(1), NodeId(2), false);  // 1's half splits dim 1
+  CanSpace space(2, Rng(1));
+  space.join(NodeId(0));
+  split_upper(space, NodeId(0), NodeId(1));
+  split_upper(space, NodeId(1), NodeId(2));
   // Node 0's sibling subtree is internal (holds 1 and 2): on 0's departure
   // one of them absorbs its pair-sibling and the freed node takes 0's zone.
-  const Zone departed = t.zone_of(NodeId(0));
+  const Zone departed = space.zone_of(NodeId(0));
   const auto repair = t.leave(NodeId(0));
+  space.leave(NodeId(0));
   EXPECT_TRUE(repair.reassigned_to.valid());
-  EXPECT_EQ(t.zone_of(repair.reassigned_to), departed);
-  EXPECT_TRUE(t.tiles_unit_cube());
+  EXPECT_EQ(space.zone_of(repair.reassigned_to), departed);
+  EXPECT_TRUE(space.verify_invariants());
   EXPECT_EQ(t.leaf_count(), 2u);
 }
 
 TEST(PartitionTree, ChurnKeepsTilingInvariant) {
   Rng rng(77);
   PartitionTree t(3, NodeId(0));
+  CanSpace space(3, Rng(1));
+  space.join(NodeId(0));
   std::vector<NodeId> live{NodeId(0)};
   std::uint32_t next = 1;
   for (int step = 0; step < 500; ++step) {
     if (live.size() <= 2 || rng.chance(0.6)) {
       const NodeId owner = live[rng.pick_index(live.size())];
       const NodeId joiner(next++);
-      t.split(owner, joiner);
+      t.split(owner, joiner, false);
+      split_upper(space, owner, joiner);
       live.push_back(joiner);
     } else {
       const std::size_t idx = rng.pick_index(live.size());
       t.leave(live[idx]);
+      space.leave(live[idx]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
     }
-    ASSERT_TRUE(t.tiles_unit_cube()) << "step " << step;
+    ASSERT_TRUE(space.verify_invariants()) << "step " << step;
     ASSERT_EQ(t.leaf_count(), live.size());
   }
 }
@@ -110,9 +149,11 @@ TEST_F(CanSpaceTest, OwnerOfFindsContainingZone) {
 TEST_F(CanSpaceTest, NeighborsAreSymmetric) {
   const CanSpace space = make_space(3, 48, 7);
   for (const NodeId id : space.member_ids()) {
-    for (const NodeId n : space.neighbors_of(id)) {
-      const auto& back = space.neighbors_of(n);
-      EXPECT_TRUE(std::find(back.begin(), back.end(), id) != back.end());
+    for (const CanSpace::NeighborLink& l : space.neighbor_links(id)) {
+      const auto& back = space.neighbor_links(l.id);
+      EXPECT_TRUE(std::any_of(
+          back.begin(), back.end(),
+          [&](const CanSpace::NeighborLink& b) { return b.id == id; }));
     }
   }
 }
@@ -134,7 +175,7 @@ TEST_F(CanSpaceTest, DirectionalNeighborsPartitionByDimAndSide) {
         }
       }
     }
-    EXPECT_EQ(directional_total, space.neighbors_of(id).size());
+    EXPECT_EQ(directional_total, space.neighbor_links(id).size());
   }
 }
 
@@ -182,9 +223,7 @@ TEST_F(CanSpaceTest, LeaveKeepsInvariantsSimpleMerge) {
 TEST_F(CanSpaceTest, RehomeListenerFiresOnJoinAndLeave) {
   CanSpace space(2, Rng(12));
   int rehomes = 0;
-  CanSpace::Listener listener;
-  listener.on_rehome = [&](NodeId, NodeId) { ++rehomes; };
-  space.set_listener(listener);
+  space.set_rehome_listener([&](NodeId, NodeId) { ++rehomes; });
   space.join(NodeId(0));
   space.join(NodeId(1));
   EXPECT_EQ(rehomes, 1);  // split moves half the records

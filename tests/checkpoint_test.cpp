@@ -13,11 +13,10 @@ TEST(CheckpointStore, RecordLookupErase) {
   psm::CheckpointStore store;
   const TaskId id{NodeId(1), 7};
   EXPECT_FALSE(store.lookup(id).has_value());
-  store.record(id, {100.0, 50.0, 10.0}, seconds(10));
+  store.record(id, {100.0, 50.0, 10.0});
   const auto cp = store.lookup(id);
   ASSERT_TRUE(cp.has_value());
   EXPECT_DOUBLE_EQ(cp->remaining[0], 100.0);
-  EXPECT_EQ(cp->taken_at, seconds(10));
   store.erase(id);
   EXPECT_FALSE(store.lookup(id).has_value());
 }
@@ -25,16 +24,16 @@ TEST(CheckpointStore, RecordLookupErase) {
 TEST(CheckpointStore, RestartCountSurvivesNewSnapshots) {
   psm::CheckpointStore store;
   const TaskId id{NodeId(2), 1};
-  EXPECT_EQ(store.note_restart(id, seconds(5)), 1u);
-  EXPECT_EQ(store.note_restart(id, seconds(6)), 2u);
-  store.record(id, {10.0, 0.0, 0.0}, seconds(7));
+  EXPECT_EQ(store.note_restart(id), 1u);
+  EXPECT_EQ(store.note_restart(id), 2u);
+  store.record(id, {10.0, 0.0, 0.0});
   EXPECT_EQ(store.lookup(id)->restarts, 2u);
 }
 
 TEST(CheckpointStore, LostWorkIsProgressSinceSnapshot) {
   psm::CheckpointStore store;
   const TaskId id{NodeId(3), 1};
-  store.record(id, {100.0, 60.0, 0.0}, seconds(1));
+  store.record(id, {100.0, 60.0, 0.0});
   // Task progressed to {40, 30, 0} before dying: 60 + 30 lost.
   EXPECT_DOUBLE_EQ(store.lost_work(id, {40.0, 30.0, 0.0}), 90.0);
   // Unknown task: conservative zero.

@@ -36,6 +36,7 @@
 #include "src/can/space.hpp"
 #include "src/common/fnv.hpp"
 #include "src/core/experiment.hpp"
+#include "src/sweep/spec.hpp"
 
 namespace soc {
 namespace {
@@ -93,11 +94,22 @@ core::ExperimentConfig small_config(core::ProtocolKind protocol) {
   return c;
 }
 
+// The "partition" scenario over three LANs: a LAN-boundary cut at 35% of
+// the run heals at 65%, so parking and rejoin (park_node/restore_node)
+// are on the pinned path.
+core::ExperimentConfig partition_config(core::ProtocolKind protocol) {
+  core::ExperimentConfig c = small_config(protocol);
+  c.nodes = 120;
+  c.duration = seconds(7200);
+  c.scenario = *sweep::scenario_by_name("partition", c.duration, c.nodes);
+  return c;
+}
+
 // Its own field list on the shared hasher, not
 // ExperimentResults::fingerprint: the goldens checked in were hashed over
 // exactly these fields, and a wider list would move every one of them.
-std::uint64_t experiment_fingerprint(core::ProtocolKind protocol) {
-  const core::ExperimentResults r = core::run_experiment(small_config(protocol));
+std::uint64_t experiment_fingerprint(const core::ExperimentConfig& config) {
+  const core::ExperimentResults r = core::run_experiment(config);
   Fnv1a h;
   h.u64(r.generated);
   h.u64(r.finished);
@@ -128,13 +140,27 @@ struct Golden {
   std::uint64_t (*compute)();
 };
 
+std::uint64_t small_fingerprint(core::ProtocolKind protocol) {
+  return experiment_fingerprint(small_config(protocol));
+}
+
+std::uint64_t partition_fingerprint(core::ProtocolKind protocol) {
+  return experiment_fingerprint(partition_config(protocol));
+}
+
 constexpr Golden kGoldens[] = {
     {"routes", &route_fingerprint},
-    {"hid_can", [] { return experiment_fingerprint(core::ProtocolKind::kHidCan); }},
+    {"hid_can", [] { return small_fingerprint(core::ProtocolKind::kHidCan); }},
     {"newscast",
-     [] { return experiment_fingerprint(core::ProtocolKind::kNewscast); }},
+     [] { return small_fingerprint(core::ProtocolKind::kNewscast); }},
     {"khdn_can",
-     [] { return experiment_fingerprint(core::ProtocolKind::kKhdnCan); }},
+     [] { return small_fingerprint(core::ProtocolKind::kKhdnCan); }},
+    {"hid_can_partition",
+     [] { return partition_fingerprint(core::ProtocolKind::kHidCan); }},
+    {"khdn_can_partition",
+     [] { return partition_fingerprint(core::ProtocolKind::kKhdnCan); }},
+    {"newscast_partition",
+     [] { return partition_fingerprint(core::ProtocolKind::kNewscast); }},
 };
 
 /// Parse "key value" lines ('#' starts a comment).  Returns false when the
@@ -173,21 +199,37 @@ TEST(GoldenTrajectory, CanRoutesBitIdentical) {
 }
 
 TEST(GoldenTrajectory, HidCanSeriesBitIdentical) {
-  const std::uint64_t actual =
-      experiment_fingerprint(core::ProtocolKind::kHidCan);
+  const std::uint64_t actual = small_fingerprint(core::ProtocolKind::kHidCan);
   EXPECT_EQ(actual, expected("hid_can")) << "actual: " << actual;
 }
 
 TEST(GoldenTrajectory, NewscastSeriesBitIdentical) {
   const std::uint64_t actual =
-      experiment_fingerprint(core::ProtocolKind::kNewscast);
+      small_fingerprint(core::ProtocolKind::kNewscast);
   EXPECT_EQ(actual, expected("newscast")) << "actual: " << actual;
 }
 
 TEST(GoldenTrajectory, KhdnCanSeriesBitIdentical) {
-  const std::uint64_t actual =
-      experiment_fingerprint(core::ProtocolKind::kKhdnCan);
+  const std::uint64_t actual = small_fingerprint(core::ProtocolKind::kKhdnCan);
   EXPECT_EQ(actual, expected("khdn_can")) << "actual: " << actual;
+}
+
+TEST(GoldenTrajectory, HidCanPartitionBitIdentical) {
+  const std::uint64_t actual =
+      partition_fingerprint(core::ProtocolKind::kHidCan);
+  EXPECT_EQ(actual, expected("hid_can_partition")) << "actual: " << actual;
+}
+
+TEST(GoldenTrajectory, KhdnCanPartitionBitIdentical) {
+  const std::uint64_t actual =
+      partition_fingerprint(core::ProtocolKind::kKhdnCan);
+  EXPECT_EQ(actual, expected("khdn_can_partition")) << "actual: " << actual;
+}
+
+TEST(GoldenTrajectory, NewscastPartitionBitIdentical) {
+  const std::uint64_t actual =
+      partition_fingerprint(core::ProtocolKind::kNewscast);
+  EXPECT_EQ(actual, expected("newscast_partition")) << "actual: " << actual;
 }
 
 /// --regen: recompute every registered fingerprint and rewrite the golden
@@ -216,14 +258,14 @@ int regen_goldens() {
     out << g.key << ' ' << value << '\n';
     const std::uint64_t* was = previous(g.key);
     if (was == nullptr) {
-      std::printf("regen: %-10s (new)      -> %llu\n", g.key,
+      std::printf("regen: %-18s (new)      -> %llu\n", g.key,
                   static_cast<unsigned long long>(value));
     } else if (*was != value) {
-      std::printf("regen: %-10s %llu -> %llu\n", g.key,
+      std::printf("regen: %-18s %llu -> %llu\n", g.key,
                   static_cast<unsigned long long>(*was),
                   static_cast<unsigned long long>(value));
     } else {
-      std::printf("regen: %-10s unchanged (%llu)\n", g.key,
+      std::printf("regen: %-18s unchanged (%llu)\n", g.key,
                   static_cast<unsigned long long>(value));
     }
   }

@@ -195,7 +195,7 @@ TEST(PsmScheduler, AbortRemovesTaskWithoutCallback) {
   EXPECT_FALSE(sched.abort(t.id).has_value());  // double abort
 }
 
-TEST(PsmScheduler, AbortAllReturnsEverySpec) {
+TEST(PsmScheduler, AbortAllWithProgressReturnsEverySpec) {
   sim::Simulator sim;
   PsmScheduler sched(sim, ResourceVector{10, 10, 10, 10, 1000},
                      no_overhead());
@@ -203,8 +203,8 @@ TEST(PsmScheduler, AbortAllReturnsEverySpec) {
     ASSERT_TRUE(sched.admit(
         make_task(i, ResourceVector{1, 1, 1, 1, 50}, {100, 0, 0})));
   }
-  const auto specs = sched.abort_all();
-  EXPECT_EQ(specs.size(), 3u);
+  const auto aborted = sched.abort_all_with_progress();
+  EXPECT_EQ(aborted.size(), 3u);
   EXPECT_EQ(sched.running_count(), 0u);
   EXPECT_TRUE(sched.availability().dominates(ResourceVector{9, 9, 9, 9, 900}));
 }

@@ -152,8 +152,8 @@ TEST(RoutingRank, RandomPointsOverSpaceZones) {
     }
     const NodeId self = ids[rng.pick_index(ids.size())];
     Candidates cands;
-    for (const NodeId n : space.neighbors_of(self)) {
-      cands.emplace_back(n, space.zone_of(n));
+    for (const CanSpace::NeighborLink& l : space.neighbor_links(self)) {
+      cands.emplace_back(l.id, space.zone_of(l.id));
     }
     for (int f = 0; f < 12; ++f) {  // finger-like arbitrary members
       const NodeId n = ids[rng.pick_index(ids.size())];
@@ -171,8 +171,9 @@ NodeId reference_next_hop(const CanSpace& space, NodeId from,
   NodeId best;
   double best_d = here.distance_sq(target);
   double best_c = point_distance_sq(here.center(), target);
-  for (const NodeId n : space.neighbors_of(from)) {
-    if (reference_rank(space.zone_of(n), n, target, best, best_d, best_c)) {
+  for (const CanSpace::NeighborLink& l : space.neighbor_links(from)) {
+    if (reference_rank(space.zone_of(l.id), l.id, target, best, best_d,
+                       best_c)) {
       break;
     }
   }
