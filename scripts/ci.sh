@@ -30,19 +30,20 @@
 #                           # that are neither blank nor start with //,
 #                           # per directory and in total (no build)
 #   scripts/ci.sh perfbench # builds the repository benchmark (perfbench/)
-#                           # against this tree and runs four workloads
-#                           # for 5 s each: figure-fig4 (the sweep
-#                           # shard/merge path), scale-20k (the >2000-
-#                           # node check path: event-queue integrity and
-#                           # the bus in-flight check on a ~250k-event
-#                           # queue), churn-faults (2000 nodes through
-#                           # a partition, its heal and checkpoint
-#                           # restarts, with the invariant checker after
-#                           # each) and serving-hot (closed-loop clients
-#                           # and Zipf-hot keys under the full invariant
-#                           # checker at 1000 nodes); fails unless each
-#                           # result line reports "correct": true and
-#                           # "failed": 0
+#                           # against this tree and runs all five of its
+#                           # workloads for 5 s each: figure-fig4 (the
+#                           # sweep shard/merge path), scale-20k (the
+#                           # >2000-node check path: event-queue
+#                           # integrity and the bus in-flight check on a
+#                           # ~250k-event queue), churn-faults (2000
+#                           # nodes through a partition, its heal and
+#                           # checkpoint restarts, with the invariant
+#                           # checker after each), serving-hot (closed-
+#                           # loop clients and Zipf-hot keys under the
+#                           # full invariant checker at 1000 nodes) and
+#                           # paper-hid (HID-CAN at the paper's 2000
+#                           # nodes); fails unless each result line
+#                           # reports "correct": true and "failed": 0
 #
 # Re-baseline bookkeeping: `cmake --build build --target archive_baseline`
 # copies bench/BENCH_baseline.json into bench/history/ (regen_goldens does
@@ -51,6 +52,8 @@
 # a 15% threshold.
 #
 # Warnings are errors in every lane (SOC_WERROR=ON is the default).
+# Builds run one compile job per CPU: a bare -j would start every ready
+# compile at once (all soc_core sources at the first step).
 set -eu
 
 lane="${1:-full}"
@@ -61,7 +64,7 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 if [ "$lane" = "asan" ]; then
   cmake -B "$root/build-asan" -S "$root" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DSOC_SANITIZE=address,undefined
-  cmake --build "$root/build-asan" -j
+  cmake --build "$root/build-asan" -j "$(nproc)"
   cd "$root/build-asan"
   exec ctest -L unit --output-on-failure -j8
 fi
@@ -85,7 +88,7 @@ fi
 if [ "$lane" = "perfbench" ]; then
   cd "$root"
   mkdir -p .bench_build
-  for workload in figure-fig4 scale-20k churn-faults serving-hot; do
+  for workload in figure-fig4 scale-20k churn-faults serving-hot paper-hid; do
     out=".bench_build/ci-perfbench-$workload.out"
     status=0
     python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 5 \
@@ -105,7 +108,7 @@ EOF
 fi
 
 cmake -B "$root/build" -S "$root" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$root/build" -j
+cmake --build "$root/build" -j "$(nproc)"
 
 cd "$root/build"
 case "$lane" in

@@ -178,12 +178,6 @@ void CanSpace::leave(NodeId id) {
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
 
-  // Records of the departing node move to whoever now owns its old zone:
-  // the reassigned node when there is one, else the merge survivor.
-  const NodeId heir = repair.reassigned_to.valid() ? repair.reassigned_to
-                                                   : repair.merge_survivor;
-  if (on_rehome_) on_rehome_(id, heir);
-
   drop_from_all_neighbors(id);
   free_row(member(id).row);
   members_.erase(id);
@@ -200,7 +194,9 @@ void CanSpace::leave(NodeId id) {
     refresh_against(a, candidates);
   }
   // When y (reassigned_to) vacated its old zone to z, records y held move
-  // to z as part of the same repair.
+  // to z as part of the same repair.  The departed node's own records move
+  // nowhere: churn is an abrupt departure, and providers republish within
+  // one update period.
   if (repair.reassigned_to.valid() && on_rehome_) {
     on_rehome_(repair.reassigned_to, repair.merge_survivor);
   }

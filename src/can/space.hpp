@@ -56,7 +56,9 @@ class CanSpace {
 
   /// The hook the record layers install to stay consistent with zone
   /// ownership changes: all records of `from` that now fall inside `to`'s
-  /// zone must move.
+  /// zone must move.  Both nodes are members when it fires: the split
+  /// owner and the joiner in join(), the reassigned node and the merge
+  /// survivor in leave().  A departing node hands its records to no one.
   using RehomeListener = std::function<void(NodeId from, NodeId to)>;
 
   CanSpace(std::size_t dims, Rng rng);

@@ -100,15 +100,6 @@ class ResourceVector {
     return r;
   }
 
-  /// Clamp every component into [0, hi_i].
-  [[nodiscard]] ResourceVector clamped(const ResourceVector& hi) const {
-    SOC_DCHECK(size_ == hi.size_);
-    ResourceVector r(size_);
-    for (std::size_t i = 0; i < size_; ++i)
-      r.v_[i] = std::clamp(v_[i], 0.0, hi.v_[i]);
-    return r;
-  }
-
   [[nodiscard]] double sum() const {
     double s = 0.0;
     for (std::size_t i = 0; i < size_; ++i) s += v_[i];

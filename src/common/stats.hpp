@@ -7,7 +7,7 @@
 
 namespace soc {
 
-/// Streaming mean/variance (Welford) plus min/max.
+/// Streaming mean/variance (Welford).
 class RunningStats {
  public:
   void add(double x);
@@ -16,20 +16,11 @@ class RunningStats {
   [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
   [[nodiscard]] double variance() const;
   [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double sum() const { return sum_; }
-
-  /// Merge another accumulator into this one (parallel sweeps).
-  void merge(const RunningStats& other);
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Jain's fairness index over a set of per-task efficiencies (Eq. (4) of

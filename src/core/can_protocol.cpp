@@ -45,8 +45,8 @@ template <class System>
 void CanAdapter<System>::on_partition_out(NodeId id) {
   if (!space_.contains(id)) return;
   SOC_CHECK(!parked_.contains(id));
-  // Park the state *before* teardown: remove_node then finds empty
-  // moved-from state and re-homes nothing to the takeover node.
+  // Park the state *before* teardown: remove_node then drops only the
+  // empty moved-from state.
   parked_.emplace(id, system_.park_node(id));
   leave_overlay(id);
 }

@@ -509,7 +509,7 @@ void Experiment::apply_demand_profile(psm::TaskSpec& spec) {
 
 void Experiment::begin_query(const std::shared_ptr<TaskRun>& run) {
   ++run->attempts;
-  if (is_partitioned(run->spec.origin)) {
+  if (is_partitioned(run->spec.id.origin)) {
     // A cut-off origin cannot reach the overlay; the attempt comes back
     // empty after a beat and the normal retry/backoff machinery takes over
     // (succeeding only if the partition heals before retries run out).
@@ -517,7 +517,7 @@ void Experiment::begin_query(const std::shared_ptr<TaskRun>& run) {
     return;
   }
   const SimTime started = sim_.now();
-  protocol_->query(run->spec.origin, run->spec.expectation,
+  protocol_->query(run->spec.id.origin, run->spec.expectation,
                    config_.want_results,
                    [this, run, started](std::vector<Discovered> candidates) {
                      query_delay_s_.add(to_seconds(sim_.now() - started));
@@ -580,7 +580,7 @@ void Experiment::dispatch(const std::shared_ptr<TaskRun>& run,
   if (obs::Tracer* t = obs::tracer()) {
     t->mark("task", "dispatch", trace_id(run->spec.id), sim_.now());
   }
-  const NodeId origin = run->spec.origin;
+  const NodeId origin = run->spec.id.origin;
 
   // Guard against a dead provider or lost messages with a timeout.
   sim_.schedule_after(kDispatchTimeout, [this, run, seq] {
@@ -637,12 +637,12 @@ void Experiment::dispatch(const std::shared_ptr<TaskRun>& run,
 
 void Experiment::retry_or_fail(const std::shared_ptr<TaskRun>& run) {
   if (run->settled) return;
-  const bool origin_alive = hosts_.alive(run->spec.origin);
+  const bool origin_alive = hosts_.alive(run->spec.id.origin);
   if (!origin_alive || run->attempts > kMaxQueryRetries) {
     run->settled = true;
     metrics_.on_failed(sim_.now());
     trace_failed(run->spec.id, sim_.now());
-    if (run->client) schedule_client_issue(run->spec.origin);
+    if (run->client) schedule_client_issue(run->spec.id.origin);
     if (config_.diagnose_failures) {
       // Ground truth at failure time: could any alive host admit the task?
       bool feasible = false;
@@ -778,7 +778,7 @@ void Experiment::on_host_departed(NodeId victim) {
           in_flight_.erase(it);
         }
         checkpoints_.erase(progress.spec.id);
-        if (client) schedule_client_issue(progress.spec.origin);
+        if (client) schedule_client_issue(progress.spec.id.origin);
       }
       break;
     }
@@ -820,13 +820,13 @@ void Experiment::restart_from_checkpoint(
     }
   }
 
-  const bool origin_alive = hosts_.alive(progress.spec.origin);
+  const bool origin_alive = hosts_.alive(progress.spec.id.origin);
   const std::uint32_t restarts = checkpoints_.note_restart(id);
   if (!origin_alive || restarts > kMaxRestarts) {
     metrics_.on_failed(sim_.now());
     trace_failed(id, sim_.now());
     checkpoints_.erase(id);
-    if (client) schedule_client_issue(progress.spec.origin);
+    if (client) schedule_client_issue(progress.spec.id.origin);
     return;
   }
   ++checkpoint_restarts_;
@@ -853,7 +853,7 @@ void Experiment::start_checkpointing() {
       if (!remaining.has_value()) continue;
       ++checkpoint_snapshots_;
       const TaskId task_id = id;
-      bus_->send(placement.provider, placement.spec.origin,
+      bus_->send(placement.provider, placement.spec.id.origin,
                  net::MsgType::kDispatch, kSnapshotBytes,
                  [this, task_id, r = *remaining] {
                    checkpoints_.record(task_id, r);

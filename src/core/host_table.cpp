@@ -9,10 +9,10 @@ psm::PsmScheduler& HostTable::add(NodeId id, const ResourceVector& capacity) {
                 "host ids must be sequential");
   alive_.push_back(1);
   next_seq_.push_back(0);
-  cold_slot_.push_back(cold_.alloc(sim_, capacity));
+  cold_.push_back(std::make_unique<psm::PsmScheduler>(sim_, capacity));
   fen_append(true);
   ++alive_count_;
-  return cold_[cold_slot_[id.value]];
+  return *cold_.back();
 }
 
 void HostTable::mark_departed(NodeId id) {
@@ -24,11 +24,18 @@ void HostTable::mark_departed(NodeId id) {
 
 void HostTable::release_scheduler(NodeId id) {
   SOC_DCHECK(known(id) && alive_[id.value] == 0);
-  const std::uint32_t slot = cold_slot_[id.value];
-  if (slot == ColdSlab::kNull) return;
-  SOC_DCHECK(cold_[slot].running_count() == 0);
-  cold_.release(slot);
-  cold_slot_[id.value] = ColdSlab::kNull;
+  SOC_DCHECK(!cold_[id.value] || cold_[id.value]->running_count() == 0);
+  cold_[id.value].reset();
+}
+
+std::size_t HostTable::mem_bytes() const {
+  std::size_t live = 0;
+  for (const auto& s : cold_) live += s ? 1 : 0;
+  return alive_.capacity() * sizeof(std::uint8_t) +
+         next_seq_.capacity() * sizeof(std::uint32_t) +
+         cold_.capacity() * sizeof(cold_[0]) +
+         fen_.capacity() * sizeof(std::uint32_t) +
+         live * sizeof(psm::PsmScheduler);
 }
 
 std::size_t HostTable::fen_prefix(std::size_t i) const {

@@ -6,13 +6,12 @@
 // (host ids are handed out sequentially by Topology::add_host and, unlike
 // overlay state, host entries are never erased: a departed host keeps its
 // row with alive=false, so id == row index for the whole run).  Cold
-// state — the PsmScheduler, which holds the host's capacity, ~200 bytes
-// plus its running-task map — lives in an
-// address-stable slab (StableSlab: scheduler completion closures capture
-// `this`) referenced by a per-host slot index, replacing the per-node
-// unique_ptr chase.  A dead host whose scheduler has drained (no running
-// tasks) can release its cold slot, so cold memory tracks live +
-// detached-busy hosts instead of total hosts ever.
+// state — the PsmScheduler, which holds the host's capacity and its
+// running-task map (288 bytes on x86-64) — is owned through one unique_ptr
+// per host: scheduler completion closures capture `this`, so a
+// scheduler's address must not move when the table grows.  A dead host
+// whose scheduler has drained (no running tasks) can release it, so cold
+// memory tracks live + detached-busy hosts instead of total hosts ever.
 //
 // Alive-order statistics.  Churn picks "the k-th alive host in ascending
 // id order"; materializing the alive list per churn event is O(total
@@ -24,10 +23,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/common/resource_vector.hpp"
-#include "src/common/stable_slab.hpp"
 #include "src/common/types.hpp"
 #include "src/psm/scheduler.hpp"
 
@@ -58,17 +57,16 @@ class HostTable {
     return next_seq_[id.value]++;
   }
 
-  /// The host's scheduler, or nullptr when its cold slot was released
-  /// (only possible for departed hosts with no running tasks).
+  /// The host's scheduler, or nullptr once it was released (only possible
+  /// for departed hosts with no running tasks).
   [[nodiscard]] psm::PsmScheduler* scheduler(NodeId id) {
-    if (!known(id) || cold_slot_[id.value] == ColdSlab::kNull) return nullptr;
-    return &cold_[cold_slot_[id.value]];
+    return known(id) ? cold_[id.value].get() : nullptr;
   }
   [[nodiscard]] const psm::PsmScheduler* scheduler(NodeId id) const {
-    return const_cast<HostTable*>(this)->scheduler(id);
+    return known(id) ? cold_[id.value].get() : nullptr;
   }
 
-  /// Destroy a drained dead host's scheduler and recycle its cold slot.
+  /// Destroy a drained dead host's scheduler.
   /// Caller must ensure the host is departed and nothing is running (the
   /// scheduler then has no pending completion event, so no scheduled
   /// closure still captures its address).
@@ -81,21 +79,13 @@ class HostTable {
   /// to sorting the alive ids and indexing.
   [[nodiscard]] NodeId kth_alive(std::size_t k) const;
 
-  /// Bytes claimed by the SoA vectors plus the cold-scheduler slab
-  /// chunks; attribution-profiler hook.  Scheduler-internal task maps
-  /// are not walked — the fixed ~200-byte PsmScheduler footprint is the
+  /// Bytes claimed by the SoA vectors plus the live schedulers (a scan
+  /// at report time); attribution-profiler hook.  Scheduler-internal task
+  /// maps are not walked — the fixed PsmScheduler footprint is the
   /// dominant cold term.
-  [[nodiscard]] std::size_t mem_bytes() const {
-    return alive_.capacity() * sizeof(std::uint8_t) +
-           next_seq_.capacity() * sizeof(std::uint32_t) +
-           cold_slot_.capacity() * sizeof(std::uint32_t) +
-           fen_.capacity() * sizeof(std::uint32_t) +
-           cold_.capacity_slots() * sizeof(psm::PsmScheduler);
-  }
+  [[nodiscard]] std::size_t mem_bytes() const;
 
  private:
-  using ColdSlab = StableSlab<psm::PsmScheduler>;
-
   // Fenwick tree over alive bits, 1-based: fen_[i] covers ids
   // [i - lowbit(i), i).  Appending host m computes fen_[m] from prefix
   // sums of the already-built tree, so joins stay O(log n).
@@ -107,8 +97,7 @@ class HostTable {
 
   std::vector<std::uint8_t> alive_;         // hot: bus liveness per message
   std::vector<std::uint32_t> next_seq_;     // hot: per-submission
-  std::vector<std::uint32_t> cold_slot_;    // id → slab slot (kNull: freed)
-  ColdSlab cold_;                           // cold: schedulers, stable addrs
+  std::vector<std::unique_ptr<psm::PsmScheduler>> cold_;  // null: released
   std::vector<std::uint32_t> fen_;          // alive-bit Fenwick tree
   std::size_t alive_count_ = 0;
 };

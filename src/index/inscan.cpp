@@ -27,7 +27,7 @@ IndexSystem::IndexSystem(sim::Simulator& sim, net::MessageBus& bus,
   space_.set_rehome_listener([this](NodeId from, NodeId to) {
     if (!state_.contains(from)) return;
     const std::vector<Record> moved =
-        extract_rehomed(cache(from), space_, from, to, sim_.now());
+        cache(from).extract_in_zone(space_.zone_of(to), sim_.now());
     RecordStore& dst = cache(to);
     for (const Record& r : moved) dst.put(r);
   });
@@ -68,8 +68,7 @@ IndexSystem::ParkedNode IndexSystem::park_node(NodeId id) {
   SOC_CHECK(state_.contains(id));
   NodeState& st = state(id);
   st.last_location.reset();
-  // Moved-from sub-objects are left empty, so the departure teardown that
-  // follows re-homes nothing to the takeover node.
+  // The departure teardown that follows erases the moved-from husk.
   return std::move(st);
 }
 

@@ -120,10 +120,10 @@ class IndexSystem {
 
   /// Extract `id`'s full NodeState ahead of a partition teardown.  The
   /// caller runs the normal departure path next (remove_node + space
-  /// leave); because the state moves out *first*, the takeover node
-  /// re-homes an empty cache — records behind the cut are unreachable from
-  /// the majority until the heal.  The last location is dropped: the
-  /// rejoined node publishes as if for the first time.
+  /// leave), which hands no record to the takeover node — records behind
+  /// the cut are unreachable from the majority until the heal.  The last
+  /// location is dropped: the rejoined node publishes as if for the first
+  /// time.
   [[nodiscard]] ParkedNode park_node(NodeId id);
 
   /// Re-enter `id` (already re-joined to the CanSpace) with its parked

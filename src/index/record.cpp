@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/can/space.hpp"
-
 namespace soc::index {
 
 std::size_t RecordStore::key_lower_bound(NodeId provider) const {
@@ -163,15 +161,6 @@ bool RecordStore::verify_sorted_unique() const {
     if (!used[s]) return false;
   }
   return true;
-}
-
-std::vector<Record> extract_rehomed(RecordStore& from_cache,
-                                    const can::CanSpace& space, NodeId from,
-                                    NodeId to, SimTime now) {
-  if (space.contains(from) && space.contains(to)) {
-    return from_cache.extract_in_zone(space.zone_of(to), now);
-  }
-  return from_cache.extract_all();
 }
 
 }  // namespace soc::index

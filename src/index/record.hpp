@@ -10,10 +10,6 @@
 #include "src/common/resource_vector.hpp"
 #include "src/common/types.hpp"
 
-namespace soc::can {
-class CanSpace;
-}  // namespace soc::can
-
 namespace soc::index {
 
 /// One advertised availability vector.  `location` is the CAN point the
@@ -73,7 +69,7 @@ class RecordStore {
   [[nodiscard]] std::size_t qualified_count(const ResourceVector& demand,
                                             SimTime now) const;
 
-  /// All non-expired records (for re-homing and the full range query), in
+  /// All non-expired records (for the full range query), in
   /// ascending provider order.
   [[nodiscard]] std::vector<Record> all_live(SimTime now) const;
 
@@ -81,7 +77,7 @@ class RecordStore {
   /// used when zone ownership moves.
   std::vector<Record> extract_in_zone(const can::Zone& zone, SimTime now);
 
-  /// Extract every record unconditionally (owner departure).
+  /// Extract every record unconditionally (heal-time reconcile).
   std::vector<Record> extract_all();
 
   /// Drop expired entries; called opportunistically.
@@ -121,14 +117,6 @@ class RecordStore {
   std::vector<Record> slab_;           // stable record storage
   std::vector<std::uint32_t> free_;    // recycled slab slots (LIFO)
 };
-
-/// The records of `from`'s duty cache that `to` owns after a CanSpace
-/// rehome: those inside `to`'s zone, or all of them once either node has
-/// left the overlay.  Both CAN protocols file records by this rule.
-[[nodiscard]] std::vector<Record> extract_rehomed(RecordStore& from_cache,
-                                                  const can::CanSpace& space,
-                                                  NodeId from, NodeId to,
-                                                  SimTime now);
 
 /// Heal-time reconcile of a partitioned node's parked duty cache, after the
 /// node rejoined with `zone`: drops expired records, keeps the ones `zone`

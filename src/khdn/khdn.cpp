@@ -9,7 +9,7 @@ KhdnSystem::KhdnSystem(sim::Simulator& sim, net::MessageBus& bus,
   space_.set_rehome_listener([this](NodeId from, NodeId to) {
     if (!nodes_.contains(from)) return;
     const std::vector<index::Record> moved =
-        index::extract_rehomed(cache(from), space_, from, to, sim_.now());
+        cache(from).extract_in_zone(space_.zone_of(to), sim_.now());
     index::RecordStore& dst = cache(to);
     for (const auto& r : moved) dst.put(r);
   });
@@ -48,8 +48,7 @@ void KhdnSystem::remove_node(NodeId id) {
 
 index::RecordStore KhdnSystem::park_node(NodeId id) {
   SOC_CHECK(nodes_.contains(id));
-  // The moved-from cache stays in place (empty) until the departure
-  // teardown erases it, so nothing re-homes to the takeover node.
+  // The departure teardown that follows erases the moved-from husk.
   return std::move(nodes_.at(id).cache);
 }
 

@@ -65,7 +65,8 @@ class KhdnSystem {
   }
 
   /// Extract `id`'s duty cache ahead of a partition teardown (the caller
-  /// runs the normal departure path next, which then re-homes nothing).
+  /// runs the normal departure path next, which hands no record to the
+  /// takeover node).
   [[nodiscard]] index::RecordStore park_node(NodeId id);
   /// Re-enter `id` (already re-joined to the CanSpace) with its parked
   /// stale cache: index::reconcile_parked() re-routes the records outside

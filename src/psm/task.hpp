@@ -34,7 +34,6 @@ struct TaskSpec {
   /// Bytes shipped to the execution node at dispatch time.
   double input_bytes = 0.0;
   SimTime submit_time = 0;
-  NodeId origin;
 
   /// Execution time if allocated exactly the expectation rates.
   [[nodiscard]] double expected_exec_seconds() const {

@@ -13,12 +13,22 @@ void EventQueue::free_slot(std::uint32_t idx) {
   Slot& s = slots_[idx];
   s.fn.reset();  // release captures immediately, not at slot reuse
   ++s.gen;  // odd (live) -> even (free); stale handles and entries mismatch
-  slots_.release(idx);
+  free_.push_back(idx);
+  --live_;
 }
 
 EventHandle EventQueue::push(SimTime at, EventFn&& fn) {
   SOC_CHECK_MSG(static_cast<bool>(fn), "null event callback");
-  const std::uint32_t idx = slots_.alloc();
+  std::uint32_t idx;
+  if (!free_.empty()) {
+    idx = free_.back();
+    free_.pop_back();
+  } else {
+    SOC_CHECK_MSG(slots_.size() < EventHandle::kInvalidSlot, "event slots full");
+    idx = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  ++live_;
   Slot& s = slots_[idx];
   const std::uint32_t gen = ++s.gen;  // even (free / fresh) -> odd (live)
   s.fn = std::move(fn);
@@ -28,7 +38,7 @@ EventHandle EventQueue::push(SimTime at, EventFn&& fn) {
 }
 
 bool EventQueue::cancel(EventHandle h) {
-  if (!h.valid() || h.slot >= slots_.slots()) return false;
+  if (!h.valid() || h.slot >= slots_.size()) return false;
   if (slots_[h.slot].gen != h.gen) return false;  // executed/cancelled/reused
   free_slot(h.slot);  // its heap entry is now a tombstone
   settle();
@@ -53,7 +63,7 @@ void EventQueue::pop_top() {
 
 void EventQueue::settle() {
   while (!heap_.empty() && !live(heap_[0])) pop_top();
-  if (tombstones() <= std::max(kMinTombstones, slots_.live() / 2)) return;
+  if (tombstones() <= std::max(kMinTombstones, live_ / 2)) return;
   // Rebuild without tombstones: drop them, then heapify bottom-up.  Any
   // valid heap over the same unique (at, seq) keys pops in the same order.
   std::erase_if(heap_, [this](const Entry& e) { return !live(e); });
@@ -91,14 +101,13 @@ void EventQueue::sift_down(std::size_t pos, Entry e) {
 }
 
 bool EventQueue::verify_integrity() const {
-  const std::size_t live_count = slots_.live();
-  if (heap_.size() < live_count) return false;
-  if (tombstones() > std::max(kMinTombstones, live_count / 2)) return false;
-  std::vector<bool> seen(slots_.slots(), false);
+  if (heap_.size() < live_) return false;
+  if (tombstones() > std::max(kMinTombstones, live_ / 2)) return false;
+  std::vector<bool> seen(slots_.size(), false);
   std::size_t referenced = 0;
   for (std::size_t i = 0; i < heap_.size(); ++i) {
     const Entry& e = heap_[i];
-    if (e.slot >= slots_.slots()) return false;
+    if (e.slot >= slots_.size()) return false;
     if ((e.gen & 1u) == 0) return false;  // entries carry live generations
     if (i > 0 && e.before(heap_[(i - 1) / kArity])) return false;
     if (!live(e)) {
@@ -109,11 +118,11 @@ bool EventQueue::verify_integrity() const {
     seen[e.slot] = true;
     ++referenced;
   }
-  // Every live slot is referenced (none leaked) and the slab's live count
-  // matches the odd-generation slots (none double-freed).
+  // Every live slot is referenced (none leaked) and the live count matches
+  // the odd-generation slots (none double-freed).
   std::size_t odd = 0;
-  for (std::uint32_t i = 0; i < slots_.slots(); ++i) odd += slots_[i].gen & 1u;
-  return referenced == live_count && odd == live_count;
+  for (const Slot& s : slots_) odd += s.gen & 1u;
+  return referenced == live_ && odd == live_;
 }
 
 }  // namespace soc::sim

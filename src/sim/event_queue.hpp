@@ -4,14 +4,16 @@
 // monotone sequence number breaks ties), so a simulation run is a pure
 // function of its seed — the property all reproduction experiments rely on.
 //
-// Layout: a 4-ary min-heap of 24-byte entries over a shared Slab<T> arena.
-// Heap entries carry the full sort key (time, seq) plus the slot and the
-// slot generation they were pushed with, so sifting touches only the
-// contiguous heap array; the slab slot holds the callback inline via
-// InlineFn plus a generation counter.  Scheduling an event costs zero heap
-// allocations for captures up to 72 bytes: the largest hot-path closure is
-// the message bus's delivery record (bus pointer, destination, type, fate
-// and a 56-byte DeliverFn), so each in-flight message is one 88-byte slot.
+// Layout: a 4-ary min-heap of 24-byte entries over an arena of event slots
+// with a LIFO free-slot stack.  Heap entries carry the full sort key (time,
+// seq) plus the slot and the slot generation they were pushed with, so
+// sifting touches only the contiguous heap array; the slot holds the
+// callback inline via InlineFn plus a generation counter.  The free stack
+// is a side vector rather than a link through the slots, so a slot stays
+// exactly 88 bytes.  Scheduling an event costs zero heap allocations for
+// captures up to 72 bytes: the largest hot-path closure is the message
+// bus's delivery record (bus pointer, destination, type, fate and a
+// 56-byte DeliverFn), so each in-flight message is one 88-byte slot.
 // Handles are generation-checked, so a stale handle to a recycled slot is
 // rejected.  Generations are 32-bit: a handle or tombstone would alias only
 // after 2^31 reuses of its slot, far beyond any run's event count.
@@ -31,14 +33,13 @@
 
 #include "src/common/assert.hpp"
 #include "src/common/inline_fn.hpp"
-#include "src/common/slab.hpp"
 #include "src/common/types.hpp"
 
 namespace soc::sim {
 
 using EventFn = InlineFn<void(), 72>;
 
-/// Handle for cancelling a scheduled event: slab slot plus the generation
+/// Handle for cancelling a scheduled event: slot index plus the generation
 /// the slot had when the event was scheduled.
 struct EventHandle {
   static constexpr std::uint32_t kInvalidSlot = 0xffffffffu;
@@ -56,7 +57,7 @@ class EventQueue {
 
   EventHandle push(SimTime at, EventFn&& fn);
 
-  /// Cancel a previously scheduled event, releasing its slab slot (and
+  /// Cancel a previously scheduled event, releasing its slot (and
   /// captures) immediately.  Returns false if the event was unknown
   /// (already executed or already cancelled).
   bool cancel(EventHandle h);
@@ -65,7 +66,7 @@ class EventQueue {
   /// Live (scheduled, not yet executed or cancelled) events, never
   /// tombstones: Simulator::schedule_periodic seeds its jitter stream from
   /// this count, so a cancel must change it at once.
-  [[nodiscard]] std::size_t size() const { return slots_.live(); }
+  [[nodiscard]] std::size_t size() const { return live_; }
 
   /// Earliest live event time, or kSimTimeNever when empty.
   [[nodiscard]] SimTime next_time() const {
@@ -79,21 +80,21 @@ class EventQueue {
   };
   Popped pop();
 
-  /// Slab high-water mark: slots ever allocated (live + free-listed).
+  /// Slot high-water mark: slots ever allocated (live + free-stacked).
   /// Bounded by the *peak* number of simultaneously pending events, not the
   /// total scheduled — the stress tests assert on this.
-  [[nodiscard]] std::size_t slab_slots() const { return slots_.slots(); }
+  [[nodiscard]] std::size_t slab_slots() const { return slots_.size(); }
 
-  /// Bytes claimed by the backing storage (heap capacity + slab
-  /// high-water slots); attribution-profiler hook.
+  /// Bytes claimed by the backing storage (heap capacity + high-water
+  /// slots); attribution-profiler hook.
   [[nodiscard]] std::size_t mem_bytes() const {
-    return heap_.capacity() * sizeof(Entry) + slots_.slots() * sizeof(Slot);
+    return heap_.capacity() * sizeof(Entry) + slots_.size() * sizeof(Slot);
   }
 
   /// Handle-generation / heap sanity oracle (sim_fuzz): the heap order
   /// invariant holds for all parent/child pairs, the top entry is live,
   /// every live (odd-generation) slot is referenced by exactly one entry
-  /// carrying its generation and the slab's live count agrees (no leaked,
+  /// carrying its generation and the live count agrees (no leaked,
   /// double-freed or aliased slots), and tombstones (entries - live) stay
   /// within max(kMinTombstones, live / 2).  O(n); read-only.
   [[nodiscard]] bool verify_integrity() const;
@@ -115,6 +116,8 @@ class EventQueue {
     }
   };
 
+  /// A freed slot stays constructed and keeps its generation; only its
+  /// callback is reset, at once, to release the captures.
   struct Slot {
     std::uint32_t gen = 0;  ///< odd = live, even = free
     EventFn fn;
@@ -124,7 +127,7 @@ class EventQueue {
     return slots_[e.slot].gen == e.gen;
   }
   [[nodiscard]] std::size_t tombstones() const {
-    return heap_.size() - slots_.live();
+    return heap_.size() - live_;
   }
   void free_slot(std::uint32_t idx);
   /// Remove heap_[0], live or not.
@@ -137,7 +140,9 @@ class EventQueue {
   void sift_down(std::size_t pos, Entry e);
 
   std::vector<Entry> heap_;  ///< 4-ary min-heap, live entries + tombstones
-  Slab<Slot> slots_;         ///< shared slab arena (free list lives there)
+  std::vector<Slot> slots_;  ///< high-water arena, live + freed
+  std::vector<std::uint32_t> free_;  ///< freed slot indices, reused LIFO
+  std::size_t live_ = 0;
   std::uint64_t next_seq_ = 0;
 };
 

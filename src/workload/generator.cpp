@@ -68,7 +68,6 @@ psm::TaskSpec TaskGenerator::generate(NodeId origin, std::uint32_t seq,
   const double lam = demand_ratio_;
   psm::TaskSpec t;
   t.id = TaskId{origin, seq};
-  t.origin = origin;
   t.submit_time = now;
 
   ResourceVector e(psm::kDims);

@@ -105,6 +105,19 @@ core::ExperimentConfig partition_config(core::ProtocolKind protocol) {
   return c;
 }
 
+// HID-CAN under heavy churn with one of the two abort policies: both
+// release a departed host's scheduler at once (HostTable::release_scheduler)
+// instead of letting it drain, and kCheckpointRestart re-queries the killed
+// tasks from their last snapshot.
+core::ExperimentConfig abort_config(core::ChurnTaskPolicy policy) {
+  core::ExperimentConfig c = small_config(core::ProtocolKind::kHidCan);
+  c.nodes = 120;
+  c.duration = seconds(7200);
+  c.churn_dynamic_degree = 0.5;
+  c.churn_task_policy = policy;
+  return c;
+}
+
 // Its own field list on the shared hasher, not
 // ExperimentResults::fingerprint: the goldens checked in were hashed over
 // exactly these fields, and a wider list would move every one of them.
@@ -148,6 +161,10 @@ std::uint64_t partition_fingerprint(core::ProtocolKind protocol) {
   return experiment_fingerprint(partition_config(protocol));
 }
 
+std::uint64_t abort_fingerprint(core::ChurnTaskPolicy policy) {
+  return experiment_fingerprint(abort_config(policy));
+}
+
 constexpr Golden kGoldens[] = {
     {"routes", &route_fingerprint},
     {"hid_can", [] { return small_fingerprint(core::ProtocolKind::kHidCan); }},
@@ -161,6 +178,12 @@ constexpr Golden kGoldens[] = {
      [] { return partition_fingerprint(core::ProtocolKind::kKhdnCan); }},
     {"newscast_partition",
      [] { return partition_fingerprint(core::ProtocolKind::kNewscast); }},
+    {"hid_can_tasks_lost",
+     [] { return abort_fingerprint(core::ChurnTaskPolicy::kTasksLost); }},
+    {"hid_can_checkpoint",
+     [] {
+       return abort_fingerprint(core::ChurnTaskPolicy::kCheckpointRestart);
+     }},
 };
 
 /// Parse "key value" lines ('#' starts a comment).  Returns false when the
@@ -230,6 +253,18 @@ TEST(GoldenTrajectory, NewscastPartitionBitIdentical) {
   const std::uint64_t actual =
       partition_fingerprint(core::ProtocolKind::kNewscast);
   EXPECT_EQ(actual, expected("newscast_partition")) << "actual: " << actual;
+}
+
+TEST(GoldenTrajectory, HidCanTasksLostBitIdentical) {
+  const std::uint64_t actual =
+      abort_fingerprint(core::ChurnTaskPolicy::kTasksLost);
+  EXPECT_EQ(actual, expected("hid_can_tasks_lost")) << "actual: " << actual;
+}
+
+TEST(GoldenTrajectory, HidCanCheckpointBitIdentical) {
+  const std::uint64_t actual =
+      abort_fingerprint(core::ChurnTaskPolicy::kCheckpointRestart);
+  EXPECT_EQ(actual, expected("hid_can_checkpoint")) << "actual: " << actual;
 }
 
 /// --regen: recompute every registered fingerprint and rewrite the golden

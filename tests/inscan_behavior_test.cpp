@@ -189,5 +189,42 @@ TEST(InscanBehavior, PublishCountsAndRouteDelivery) {
   EXPECT_GE(stored + 4, 32u);
 }
 
+// A departing duty node hands its records to no one (churn is an abrupt
+// departure; providers republish every update cycle).  The only records a
+// departure moves are the reassigned node's, to the merge survivor, so the
+// live records summed over the members drop by exactly the departed
+// node's count.
+TEST(InscanBehavior, DepartureDropsExactlyTheDepartedNodesRecords) {
+  InscanHarness h(64, InscanConfig{}, 87);
+  h.sim.run_until(seconds(600));
+  const auto live_total = [&h] {
+    std::size_t n = 0;
+    for (const NodeId id : h.ids) {
+      n += h.index.cache(id).live_count(h.sim.now());
+    }
+    return n;
+  };
+  for (int round = 0; round < 24; ++round) {
+    // The member holding the most live records departs.
+    std::size_t pos = 0;
+    std::size_t held = 0;
+    for (std::size_t i = 0; i < h.ids.size(); ++i) {
+      const std::size_t n = h.index.cache(h.ids[i]).live_count(h.sim.now());
+      if (n > held) {
+        pos = i;
+        held = n;
+      }
+    }
+    ASSERT_GT(held, 0u) << "round " << round;
+    const NodeId victim = h.ids[pos];
+    const std::size_t before = live_total();
+    h.index.remove_node(victim);
+    h.space.leave(victim);
+    h.ids.erase(h.ids.begin() + static_cast<std::ptrdiff_t>(pos));
+    EXPECT_EQ(live_total(), before - held) << "round " << round;
+  }
+  EXPECT_TRUE(h.space.verify_invariants());
+}
+
 }  // namespace
 }  // namespace soc::index

@@ -79,7 +79,7 @@ TEST(TaskGenerator, DemandsWithinTableIIRanges) {
     EXPECT_GE(e[psm::kMemory], 512.0);
     EXPECT_LE(e[psm::kMemory], 4096.0);
     EXPECT_EQ(t.submit_time, seconds(100));
-    EXPECT_EQ(t.origin, NodeId(1));
+    EXPECT_EQ(t.id.origin, NodeId(1));
   }
 }
 
